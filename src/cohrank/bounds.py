@@ -8,10 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompositions import (
+    Ensemble,
     InfeasiblePairEnsembleError,
     WeightedEnsemble,
     dual_flag_ensemble,
-    power_pair_ensemble,
+    power_pair_witness,
     verify_ensemble,
 )
 from .kernel import as_complex_matrix, partial_transpose, tensor_power, trace_norm
@@ -104,7 +105,7 @@ class RankCertificate:
     upper: int | None
     lower_method: str
     upper_method: str | None
-    witness: WeightedEnsemble | None = None
+    witness: Ensemble | None = None
 
     @property
     def exact(self) -> bool:
@@ -148,14 +149,14 @@ def rank_certificate(
     rho = as_complex_matrix(rho)
     offdiag = l1_coherence(rho)
 
-    witness: WeightedEnsemble | None = None
+    witness: Ensemble | None = None
     upper: int | None = None
     upper_method: str | None = None
     verified_flag_mixture = False
 
     if family == "omega-power" and alpha is not None and n is not None and alpha > 0:
         try:
-            ens = power_pair_ensemble(alpha, n)
+            ens = power_pair_witness(alpha, n)
         except InfeasiblePairEnsembleError:
             ens = None
         if ens is not None and ens.target_dim == rho.shape[0]:
@@ -195,8 +196,7 @@ def rank_certificate(
             upper_method = "eigenvector-ensemble"
         else:
             witness = _eigenvector_ensemble(rho)
-            ranks = (np.abs(witness.states) > tau_amp).sum(axis=1)
-            upper = int(ranks.max())
+            upper = witness.max_member_rank(tau_amp)
             upper_method = "pure-rank" if len(witness) == 1 else "eigenvector-ensemble"
 
     return RankCertificate(
@@ -222,8 +222,8 @@ def schmidt_certificate(
 
     On maximally correlated states the Schmidt number equals the coherence
     rank of the unlifted state, so the full coherence certificate transfers
-    (its witness is lifted member by member). Otherwise only the negativity
-    lower bound and an eigenvector upper bound are reported.
+    (its witness is lifted by moving each label i to ii). Otherwise only the
+    negativity lower bound and an eigenvector upper bound are reported.
     """
     rho_hat = as_complex_matrix(rho_hat)
     if dims is None:
@@ -248,13 +248,7 @@ def schmidt_certificate(
             lower, lower_method = cert.lower, cert.lower_method
         else:
             lower, lower_method = neg_lower, "negativity"
-        witness = None
-        if cert.witness is not None:
-            lifted = np.zeros(
-                (len(cert.witness), dim_a * dim_a), dtype=cert.witness.states.dtype
-            )
-            lifted[:, np.arange(dim_a) * dim_a + np.arange(dim_a)] = cert.witness.states
-            witness = WeightedEnsemble(weights=cert.witness.weights, states=lifted)
+        witness = None if cert.witness is None else cert.witness.lifted()
         return RankCertificate(lower, cert.upper, lower_method, cert.upper_method, witness)
 
     vals, vecs = np.linalg.eigh(rho_hat)
@@ -277,6 +271,10 @@ def regularized_cost_bounds(alpha: float) -> tuple[float, float]:
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"mixing parameter must lie in (0, 1], got {alpha}")
+    if 1.0 + alpha == 1.0:
+        raise ValueError(
+            f"mixing parameter {alpha} is below double precision: log2(1+alpha) rounds to 0"
+        )
     lower = math.log2(1.0 + alpha)
     copies = math.floor(1.0 / lower + CEIL_GUARD)
     return lower, 1.0 / copies

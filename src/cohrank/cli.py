@@ -34,11 +34,12 @@ from .channels import (
 from .decompositions import (
     InfeasiblePairEnsembleError,
     dual_flag_ensemble,
-    power_pair_ensemble,
     power_pair_feasible,
+    power_pair_members,
+    power_pair_witness,
     verify_ensemble,
 )
-from .kernel import tensor_power, validate_density_matrix
+from .kernel import DimensionCapError, dim_cap, tensor_power, validate_density_matrix
 from .serialize import channel_to_json, ensemble_to_json, matrix_from_json
 from .states import fourier_flag_mixture, noisy_max_coherent
 
@@ -54,8 +55,6 @@ class SweepConfig:
     alpha_max: float
     steps: int
     n_max: int
-    seed: int = 0
-    tol_psd: float | None = None
     out: str | None = None
 
     def validate(self) -> "SweepConfig":
@@ -127,8 +126,6 @@ def cmd_nonadd(args: argparse.Namespace) -> int:
         alpha_max=args.alpha_max,
         steps=args.steps,
         n_max=args.n_max,
-        seed=args.seed,
-        tol_psd=args.tol_psd,
         out=args.out,
     ).validate()
     text = "\n".join([CSV_HEADER, *sweep_rows(cfg)]) + "\n"
@@ -142,7 +139,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             raise ValueError("omega-power decomposition needs --alpha and --n")
         params = {"alpha": args.alpha, "n": args.n}
         try:
-            ens = power_pair_ensemble(args.alpha, args.n)
+            members = power_pair_members(args.alpha, args.n)
         except InfeasiblePairEnsembleError as exc:
             _emit_json(
                 {
@@ -154,6 +151,15 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 args.out,
             )
             return 2
+        # The document lists every member densely: refuse before building
+        # anything when it would hold more than dim_cap()**2 amplitudes.
+        limit, size = dim_cap(), 2**args.n
+        if members * size > limit**2:
+            raise DimensionCapError(
+                f"decompose output of {members} members x {size} amplitudes "
+                f"exceeds cap {limit}**2"
+            )
+        ens = power_pair_witness(args.alpha, args.n)
         target = tensor_power(noisy_max_coherent(args.alpha), args.n)
     elif args.family == "rho-d":
         if args.d is None:
@@ -239,8 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     nonadd.add_argument("--alpha-max", type=float, default=2.0**0.5 - 1.0)
     nonadd.add_argument("--steps", type=int, default=10)
     nonadd.add_argument("--n-max", type=int, default=4)
-    nonadd.add_argument("--seed", type=int, default=0)
-    nonadd.add_argument("--tol-psd", type=float, default=None)
+    nonadd.add_argument(
+        "--seed", type=int, default=0, help="accepted for compatibility; no effect"
+    )
+    nonadd.add_argument(
+        "--tol-psd", type=float, default=None, help="accepted for compatibility; no effect"
+    )
     nonadd.add_argument("--out", type=str, default=None)
     nonadd.set_defaults(func=cmd_nonadd)
 

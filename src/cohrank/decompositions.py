@@ -1,4 +1,9 @@
-"""Explicit pure-state ensembles certifying rank upper bounds, plus a reconstruction oracle."""
+"""Explicit pure-state ensembles certifying rank upper bounds, and their verification.
+
+Two ensemble types share one interface (target_dim, weights, len, members,
+reconstruction, max_member_rank, lifted): WeightedEnsemble stores dense
+amplitude rows, PairEnsemble stores the two-level pair witness by basis index.
+"""
 
 from __future__ import annotations
 
@@ -12,6 +17,8 @@ from .states import TAU_AMP, fourier_flag_dual
 
 # Members whose weight falls at or below cutoff/size are dropped as exact zeros.
 WEIGHT_CUTOFF = 1e-12
+# Amplitude of each level in a two-level member (|i> + |j>)/sqrt(2).
+PAIR_AMP = 1.0 / math.sqrt(2)
 
 
 class InfeasiblePairEnsembleError(Exception):
@@ -54,6 +61,96 @@ class WeightedEnsemble:
         """Iterate (weight, amplitude-vector) pairs."""
         return zip(self.weights.tolist(), self.states)
 
+    def reconstruction(self) -> np.ndarray:
+        """The mixture sum_k w_k |psi_k><psi_k| as a dense matrix."""
+        weighted = self.states * self.weights[:, None]
+        return weighted.T @ self.states.conj()
+
+    def max_member_rank(self, tau_amp: float = TAU_AMP) -> int:
+        """Largest number of amplitudes above tau_amp in any member."""
+        return int((np.abs(self.states) > tau_amp).sum(axis=1).max())
+
+    def lifted(self) -> "WeightedEnsemble":
+        """Maximally correlated lift: each amplitude on |i> moves to |ii>."""
+        dim = self.target_dim
+        states = np.zeros((len(self), dim * dim), dtype=self.states.dtype)
+        states[:, np.arange(dim) * (dim + 1)] = self.states
+        return WeightedEnsemble(weights=self.weights, states=states)
+
+
+@dataclass(frozen=True)
+class PairEnsemble:
+    """Two-level pure ensemble stored by basis index, never as amplitude rows.
+
+    Member k < len(rows) is (|rows[k]> + |cols[k]>)/sqrt(2) with weight
+    pair_weights[k] (rows[k] < cols[k], each pair listed once); then every
+    label in basis enters as a basis state with weight residual. Labels index
+    a space of dimension target_dim. Storage and reconstruction are
+    O(members), where dense rows would cost O(members * target_dim).
+    """
+
+    target_dim: int
+    rows: np.ndarray
+    cols: np.ndarray
+    pair_weights: np.ndarray
+    basis: np.ndarray
+    residual: float
+
+    @property
+    def weights(self) -> np.ndarray:
+        """All member weights, pairs first, in member order."""
+        return np.concatenate([self.pair_weights, np.full(self.basis.size, self.residual)])
+
+    def __len__(self) -> int:
+        return self.rows.size + self.basis.size
+
+    def members(self):
+        """Iterate (weight, amplitude-vector) pairs, building one dense vector at a time."""
+        for i, j, w in zip(self.rows.tolist(), self.cols.tolist(), self.pair_weights.tolist()):
+            psi = np.zeros(self.target_dim)
+            psi[i] = psi[j] = PAIR_AMP
+            yield w, psi
+        for b in self.basis.tolist():
+            psi = np.zeros(self.target_dim)
+            psi[b] = 1.0
+            yield self.residual, psi
+
+    def reconstruction(self) -> np.ndarray:
+        """The mixture as a dense matrix, scatter-added from the index arrays."""
+        size = self.target_dim
+        half = 0.5 * self.pair_weights
+        # (|i> + |j>)(<i| + <j|)/2 puts w/2 on (i, j), (j, i), (i, i) and (j, j).
+        off = np.bincount(self.rows * size + self.cols, half, size * size)
+        off = off.reshape(size, size)
+        recon = off + off.T
+        recon.flat[:: size + 1] += (
+            np.bincount(self.rows, half, size)
+            + np.bincount(self.cols, half, size)
+            + self.residual * np.bincount(self.basis, minlength=size)
+        )
+        return recon
+
+    def max_member_rank(self, tau_amp: float = TAU_AMP) -> int:
+        """Largest number of amplitudes above tau_amp in any member."""
+        pair_rank = 2 * int(PAIR_AMP > tau_amp) if self.rows.size else 0
+        basis_rank = int(1.0 > tau_amp) if self.basis.size else 0
+        return max(pair_rank, basis_rank)
+
+    def lifted(self) -> "PairEnsemble":
+        """Maximally correlated lift: label i maps to |ii>, i.e. i * (target_dim + 1)."""
+        stride = self.target_dim + 1
+        return PairEnsemble(
+            target_dim=self.target_dim**2,
+            rows=self.rows * stride,
+            cols=self.cols * stride,
+            pair_weights=self.pair_weights,
+            basis=self.basis * stride,
+            residual=self.residual,
+        )
+
+
+Ensemble = WeightedEnsemble | PairEnsemble
+
 
 @dataclass(frozen=True)
 class EnsembleReport:
@@ -68,6 +165,56 @@ def power_pair_feasible(alpha: float, n: int) -> bool:
     return (2.0 - (1.0 + alpha) ** n) / 2.0**n >= -WEIGHT_CUTOFF
 
 
+def _pair_residual(alpha: float, n: int, cap: int | None) -> float:
+    """Validate the pair-ensemble parameters; return the per-basis-state residual weight."""
+    if alpha <= 0.0:
+        raise ValueError(f"mixing parameter must be positive, got {alpha}")
+    if n < 1:
+        raise ValueError(f"copy count must be >= 1, got {n}")
+    size = 2**n
+    limit = dim_cap() if cap is None else cap
+    if size > limit:
+        raise DimensionCapError(f"ensemble dimension {size} exceeds cap {limit}")
+    residual = (2.0 - (1.0 + alpha) ** n) / size
+    if residual < -WEIGHT_CUTOFF:
+        raise InfeasiblePairEnsembleError(alpha, n)
+    return residual
+
+
+def _keeps_basis(residual: float, size: int) -> bool:
+    return residual > WEIGHT_CUTOFF / size
+
+
+def power_pair_members(alpha: float, n: int, cap: int | None = None) -> int:
+    """Member count of power_pair_witness(alpha, n), without building it; raises like it."""
+    residual = _pair_residual(alpha, n, cap)
+    size = 2**n
+    return size * (size - 1) // 2 + (size if _keeps_basis(residual, size) else 0)
+
+
+def power_pair_witness(alpha: float, n: int, cap: int | None = None) -> PairEnsemble:
+    """Index-array form of power_pair_ensemble: same members, order and weights.
+
+    Stores the pair labels (i, j), i < j in lexicographic order, their weights
+    2 * alpha**hamming(i, j) / 2**n and the basis residual
+    (2 - (1+alpha)**n) / 2**n, in O(4**n) memory instead of O(8**n). Raises
+    like power_pair_ensemble.
+    """
+    residual = _pair_residual(alpha, n, cap)
+    size = 2**n
+    rows, cols = np.triu_indices(size, k=1)
+    hamming = np.bitwise_count(rows ^ cols)
+    pair_weights = 2.0 * alpha ** hamming.astype(float) / size
+    return PairEnsemble(
+        target_dim=size,
+        rows=rows,
+        cols=cols,
+        pair_weights=pair_weights,
+        basis=np.arange(size if _keeps_basis(residual, size) else 0),
+        residual=residual,
+    )
+
+
 def power_pair_ensemble(alpha: float, n: int, cap: int | None = None) -> WeightedEnsemble:
     """Two-level pure ensemble reconstructing the n-fold noisy coherent power.
 
@@ -80,20 +227,11 @@ def power_pair_ensemble(alpha: float, n: int, cap: int | None = None) -> Weighte
     basis members pruned).
 
     Members are ordered pairs-first in lexicographic (i, j) order, then basis
-    states ascending.
+    states ascending. The rows are dense, O(8**n) memory: this is the
+    reference that tests compare power_pair_witness against.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"mixing parameter must be positive, got {alpha}")
-    if n < 1:
-        raise ValueError(f"copy count must be >= 1, got {n}")
+    residual = _pair_residual(alpha, n, cap)
     size = 2**n
-    limit = dim_cap() if cap is None else cap
-    if size > limit:
-        raise DimensionCapError(f"ensemble dimension {size} exceeds cap {limit}")
-
-    residual = (2.0 - (1.0 + alpha) ** n) / size
-    if residual < -WEIGHT_CUTOFF:
-        raise InfeasiblePairEnsembleError(alpha, n)
 
     labels = np.arange(size)
     hamming = np.bitwise_count(np.bitwise_xor.outer(labels, labels))
@@ -128,7 +266,7 @@ def dual_flag_ensemble(d: int) -> WeightedEnsemble:
 
 
 def verify_ensemble(
-    ens: WeightedEnsemble,
+    ens: Ensemble,
     target,
     tol_recon: float = 1e-9,
     tau_amp: float = TAU_AMP,
@@ -138,26 +276,26 @@ def verify_ensemble(
     Reports the trace distance (half trace norm of the difference), the
     largest member coherence rank, and the weight sum. The ensemble is
     feasible when the distance is within tol_recon, no weight dips below
-    -1e-12, and the weights sum to 1 within 1e-9.
+    -1e-12, and the weights sum to 1 within 1e-9. Each ensemble type supplies
+    its own reconstruction and member rank.
     """
     target = as_complex_matrix(target)
     if ens.target_dim != target.shape[0]:
         raise ValueError(
             f"ensemble dimension {ens.target_dim} != target {target.shape[0]}"
         )
-    weighted = ens.states * ens.weights[:, None]
-    recon = weighted.T @ ens.states.conj()
+    recon = ens.reconstruction()
     distance = 0.5 * float(np.abs(np.linalg.eigvalsh(recon - target)).sum())
-    max_rank = int((np.abs(ens.states) > tau_amp).sum(axis=1).max())
-    weight_sum = float(ens.weights.sum())
+    weights = ens.weights
+    weight_sum = float(weights.sum())
     feasible = (
         distance <= tol_recon
-        and float(ens.weights.min()) >= -1e-12
+        and float(weights.min()) >= -1e-12
         and abs(weight_sum - 1.0) <= 1e-9
     )
     return EnsembleReport(
         reconstruction_trace_distance=distance,
-        max_member_rank=max_rank,
+        max_member_rank=ens.max_member_rank(tau_amp),
         weight_sum=weight_sum,
         feasible=feasible,
     )

@@ -114,14 +114,25 @@ def trace_norm(m) -> float:
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    bad = ~np.isfinite(a)
+    if bad.any():
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(
+            f"{what} has {int(bad.sum())} non-finite (NaN or inf) entries, "
+            f"first at index {first}"
+        )
+
+
 def validate_density_matrix(
     rho,
     tol_herm: float = TOL_HERM,
     tol_trace: float = TOL_TRACE,
     tol_psd: float | None = None,
 ) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return the coerced array."""
+    """Check finiteness, Hermiticity, unit trace and positivity; return the coerced array."""
     rho = as_complex_matrix(rho)
+    _require_finite(rho, "density matrix")
     defect = hermiticity_defect(rho)
     if defect > tol_herm:
         raise ValueError(f"density matrix is not Hermitian (defect {defect:.3e})")
@@ -136,10 +147,11 @@ def validate_density_matrix(
 
 
 def validate_pure_state(psi, tol_norm: float = TOL_NORM) -> np.ndarray:
-    """Check normalization of an amplitude vector; return the coerced array."""
+    """Check finiteness and normalization of an amplitude vector; return the coerced array."""
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1 or psi.size == 0:
         raise ValueError(f"expected a nonempty amplitude vector, got shape {psi.shape}")
+    _require_finite(psi, "state vector")
     norm_sq = float(np.vdot(psi, psi).real)
     if abs(norm_sq - 1.0) > tol_norm:
         raise ValueError(f"state norm^2 = {norm_sq} is not 1")

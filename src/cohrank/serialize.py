@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import DioChannel
-from .decompositions import EnsembleReport, WeightedEnsemble
+from .decompositions import Ensemble, EnsembleReport, WeightedEnsemble
 from .kernel import as_complex_matrix
 
 
@@ -58,9 +58,7 @@ def vector_from_json(doc: dict) -> np.ndarray:
     return flat
 
 
-def ensemble_to_json(
-    ens: WeightedEnsemble, report: EnsembleReport | None = None
-) -> dict:
+def ensemble_to_json(ens: Ensemble, report: EnsembleReport | None = None) -> dict:
     doc: dict = {
         "target_dim": ens.target_dim,
         "members": [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cohrank import (
+    PairEnsemble,
     asymptotic_entanglement_cost,
     binary_entropy,
     cost_report,
@@ -20,6 +21,7 @@ from cohrank import (
     negativity,
     negativity_rank_lower_bound,
     noisy_max_coherent,
+    power_pair_ensemble,
     pure_coherence_rank,
     pure_schmidt_rank,
     rank_certificate,
@@ -146,6 +148,7 @@ class TestRankCertificate:
         assert (cert.lower, cert.upper) == (2, 2)
         assert cert.exact
         assert cert.upper_method == "ensemble-witness"
+        assert isinstance(cert.witness, PairEnsemble)
         report = verify_ensemble(cert.witness, rho)
         assert report.feasible and report.max_member_rank == cert.upper
 
@@ -195,6 +198,20 @@ class TestSchmidtCertificate:
         assert cert.exact
         report = verify_ensemble(cert.witness, lifted)
         assert report.feasible and report.max_member_rank == 5
+
+    def test_lifted_power_lifts_pair_witness_by_index(self):
+        alpha, n = 0.2, 3
+        lifted = mc_lift(noisy_power(alpha, n))
+        cert = schmidt_certificate(lifted, family="omega-power", alpha=alpha, n=n)
+        assert (cert.lower, cert.upper) == (2, 2)
+        assert isinstance(cert.witness, PairEnsemble)
+        report = verify_ensemble(cert.witness, lifted)
+        assert report.feasible and report.max_member_rank == 2
+        dense = power_pair_ensemble(alpha, n).lifted()
+        np.testing.assert_array_equal(cert.witness.weights, dense.weights)
+        np.testing.assert_array_equal(
+            np.array([psi for _, psi in cert.witness.members()]), dense.states
+        )
 
     def test_pure_schmidt_rank(self):
         assert pure_schmidt_rank(mc_lift_vector(max_coherent(2)), 2, 2) == 2

@@ -113,6 +113,12 @@ class TestNonadd:
     def test_invalid_range_exits_3(self, capsys):
         assert main(["nonadd", "--alpha-max", "1.5"]) == 3
 
+    def test_seed_and_tol_psd_are_no_ops(self, capsys):
+        args = ["nonadd", "--alpha-max", "0.4", "--steps", "3", "--n-max", "3"]
+        _, plain = run(args, capsys)
+        _, flagged = run(args + ["--seed", "7", "--tol-psd", "0.5"], capsys)
+        assert flagged == plain
+
 
 class TestDecompose:
     def test_pair_family_document(self, capsys):
@@ -150,6 +156,30 @@ class TestDecompose:
     def test_missing_params_exit_3(self, capsys):
         assert main(["decompose", "--family", "omega-power"]) == 3
         assert main(["decompose", "--family", "rho-d"]) == 3
+
+    def test_output_budget_refuses_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "ens.json"
+        # 2**9 * (2**9 + 1) / 2 members x 2**9 amplitudes > 4096**2
+        code = main(["decompose", "--family", "omega-power", "--alpha", "0.01",
+                     "--n", "9", "--out", str(out)])
+        assert code == 3
+        assert "exceeds cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_output_budget_follows_dim_cap(self, monkeypatch, capsys):
+        monkeypatch.setenv("COHRANK_DIM_CAP", "64")
+        base = ["decompose", "--family", "omega-power", "--alpha", "0.05"]
+        code, out = run(base + ["--n", "4"], capsys)  # 136 x 16 <= 64**2
+        assert code == 0 and len(json.loads(out)["members"]) == 136
+        assert main(base + ["--n", "5"]) == 3  # 528 x 32 > 64**2
+
+    def test_output_budget_keeps_infeasible_document(self, capsys):
+        code, out = run(
+            ["decompose", "--family", "omega-power", "--alpha", "0.5", "--n", "9"],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(out)["feasible"] is False
 
 
 class TestDio:
@@ -198,6 +228,13 @@ class TestDio:
         bad.write_text(json.dumps(matrix_to_json(np.eye(2))))  # trace 2
         assert main(["dio", "--state", str(bad), "--d", "2"]) == 3
 
+    def test_non_finite_state_exits_3(self, tmp_path, capsys):
+        state = self.write_state(tmp_path, np.full((2, 2), np.nan))
+        assert main(["dio", "--state", state, "--d", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
     def test_malformed_json_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("not json")
@@ -231,6 +268,10 @@ class TestCost:
 
     def test_out_of_range_exits_3(self, capsys):
         assert main(["cost", "--alpha", "1.5"]) == 3
+
+    def test_alpha_below_double_precision_exits_3(self, capsys):
+        assert main(["cost", "--alpha", "1e-300"]) == 3
+        assert "rounds to 0" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -172,3 +172,15 @@ class TestValidation:
         validate_pure_state(max_coherent(4))
         with pytest.raises(ValueError, match="norm"):
             validate_pure_state(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_density(self, bad):
+        rho = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+        rho[1, 0] = bad
+        with pytest.raises(ValueError, match=r"1 non-finite.*index \(1, 0\)"):
+            validate_density_matrix(rho)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_pure_state(self, bad):
+        with pytest.raises(ValueError, match=r"non-finite.*index \(2,\)"):
+            validate_pure_state(np.array([1.0, 0.0, bad]))
