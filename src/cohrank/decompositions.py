@@ -277,15 +277,19 @@ def verify_ensemble(
     largest member coherence rank, and the weight sum. The ensemble is
     feasible when the distance is within tol_recon, no weight dips below
     -1e-12, and the weights sum to 1 within 1e-9. Each ensemble type supplies
-    its own reconstruction and member rank.
+    its own reconstruction and member rank. A difference with no imaginary
+    part is a real symmetric matrix with the same spectrum, and the real
+    eigensolver finds it about three times faster than the complex one.
     """
     target = as_complex_matrix(target)
     if ens.target_dim != target.shape[0]:
         raise ValueError(
             f"ensemble dimension {ens.target_dim} != target {target.shape[0]}"
         )
-    recon = ens.reconstruction()
-    distance = 0.5 * float(np.abs(np.linalg.eigvalsh(recon - target)).sum())
+    diff = ens.reconstruction() - target
+    if not diff.imag.any():
+        diff = diff.real
+    distance = 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
     weights = ens.weights
     weight_sum = float(weights.sum())
     feasible = (

@@ -124,6 +124,16 @@ class TestVerifyEnsemble:
         assert not report.feasible
         assert report.reconstruction_trace_distance > 0.1
 
+    def test_real_difference_matches_complex_spectrum(self):
+        ens = power_pair_ensemble(0.25, 3)
+        target = noisy_power(0.2, 3)
+        report = verify_ensemble(ens, target)
+        diff = ens.reconstruction() - np.asarray(target, dtype=complex)
+        expected = 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+        assert expected > 1e-3
+        assert report.reconstruction_trace_distance == pytest.approx(expected, rel=1e-12)
+        assert not report.feasible
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             verify_ensemble(dual_flag_ensemble(2), noisy_max_coherent(0.2))
