@@ -9,21 +9,14 @@ import numpy as np
 
 from .decompositions import (
     Ensemble,
-    InfeasiblePairEnsembleError,
     WeightedEnsemble,
     dual_flag_ensemble,
+    power_pair_feasible,
     power_pair_witness,
     verify_ensemble,
 )
 from .kernel import as_complex_matrix, partial_transpose, tensor_power, trace_norm
-from .states import (
-    TAU_AMP,
-    NotMaximallyCorrelatedError,
-    mc_lift_vector,
-    mc_unlift,
-    noisy_max_coherent,
-    pure_coherence_rank,
-)
+from .states import TAU_AMP, NotMaximallyCorrelatedError, mc_unlift, noisy_max_coherent
 
 # ceil(x - CEIL_GUARD) keeps float noise from inflating an exactly-integer bound;
 # floor(x + CEIL_GUARD) is the matching guard in the other direction.
@@ -43,9 +36,13 @@ def l1_coherence(m) -> float:
     return float(a.sum() - np.trace(a))
 
 
+def _l1_bound(offdiag: float) -> int:
+    return math.ceil(offdiag + 1.0 - CEIL_GUARD)
+
+
 def l1_rank_lower_bound(m) -> int:
     """Coherence rank is at least the off-diagonal l1 mass plus one."""
-    return math.ceil(l1_coherence(m) + 1.0 - CEIL_GUARD)
+    return _l1_bound(l1_coherence(m))
 
 
 def negativity(rho_hat, dim_a: int, dim_b: int) -> float:
@@ -82,13 +79,13 @@ def dilution_dimension(rho) -> int:
     return max(1, math.ceil(delta_robustness(rho) - CEIL_GUARD))
 
 
-def pure_schmidt_rank(psi, dim_a: int, dim_b: int, tau_sv: float = TAU_AMP) -> int:
-    """Number of singular values of the amplitude matrix above tau_sv."""
+def pure_schmidt_rank(psi, dim_a: int, dim_b: int) -> int:
+    """Number of singular values of the amplitude matrix above TAU_AMP."""
     psi = np.asarray(psi, dtype=complex)
     if psi.size != dim_a * dim_b:
         raise ValueError(f"vector size {psi.size} does not factor as {dim_a} x {dim_b}")
     sv = np.linalg.svd(psi.reshape(dim_a, dim_b), compute_uv=False)
-    return int(np.count_nonzero(sv > tau_sv))
+    return int(np.count_nonzero(sv > TAU_AMP))
 
 
 @dataclass(frozen=True)
@@ -112,10 +109,17 @@ class RankCertificate:
         return self.upper is not None and self.lower == self.upper
 
 
-def _eigenvector_ensemble(rho: np.ndarray) -> WeightedEnsemble:
+def _eigenvector_ensemble(rho: np.ndarray, member_rank) -> tuple[int, str, WeightedEnsemble]:
+    """Upper bound, method tag and witness from the eigenvector ensemble of rho.
+
+    The bound is member_rank(ensemble), its largest member rank. A single
+    member is rho itself, so the bound is then the pure-state rank.
+    """
     vals, vecs = np.linalg.eigh(rho)
     keep = vals > EIG_CUTOFF
-    return WeightedEnsemble(weights=vals[keep], states=vecs[:, keep].T)
+    witness = WeightedEnsemble(weights=vals[keep], states=vecs[:, keep].T)
+    method = "pure-rank" if len(witness) == 1 else "eigenvector-ensemble"
+    return member_rank(witness), method, witness
 
 
 def _best_lower(candidates: list[tuple[int, str]]) -> tuple[int, str]:
@@ -133,7 +137,6 @@ def rank_certificate(
     alpha: float | None = None,
     n: int | None = None,
     d: int | None = None,
-    tau_amp: float = TAU_AMP,
 ) -> RankCertificate:
     """Certify the coherence rank of a state with matched bounds.
 
@@ -149,41 +152,28 @@ def rank_certificate(
     rho = as_complex_matrix(rho)
     offdiag = l1_coherence(rho)
 
+    ens: Ensemble | None = None
+    if family == "omega-power" and alpha is not None and n is not None and alpha > 0:
+        ens = power_pair_witness(alpha, n) if power_pair_feasible(alpha, n) else None
+    elif family == "rho-d" and d is not None:
+        ens = dual_flag_ensemble(d)
     witness: Ensemble | None = None
     upper: int | None = None
     upper_method: str | None = None
-    verified_flag_mixture = False
-
-    if family == "omega-power" and alpha is not None and n is not None and alpha > 0:
-        try:
-            ens = power_pair_witness(alpha, n)
-        except InfeasiblePairEnsembleError:
-            ens = None
-        if ens is not None and ens.target_dim == rho.shape[0]:
-            report = verify_ensemble(ens, rho, tau_amp=tau_amp)
-            if report.feasible:
-                upper = report.max_member_rank
-                upper_method = "ensemble-witness"
-                witness = ens
-    elif family == "rho-d" and d is not None:
-        ens = dual_flag_ensemble(d)
-        if ens.target_dim == rho.shape[0]:
-            report = verify_ensemble(ens, rho, tau_amp=tau_amp)
-            if report.feasible:
-                upper = report.max_member_rank
-                upper_method = "ensemble-witness"
-                witness = ens
-                verified_flag_mixture = True
+    if ens is not None and ens.target_dim == rho.shape[0]:
+        report = verify_ensemble(ens, rho)
+        if report.feasible:
+            witness, upper, upper_method = ens, report.max_member_rank, "ensemble-witness"
 
     candidates: list[tuple[int, str]] = []
-    if verified_flag_mixture:
+    if family == "rho-d" and witness is not None:
         candidates.append((d + 1, "analytic-family"))
-    candidates.append((l1_rank_lower_bound(rho), "l1"))
+    candidates.append((_l1_bound(offdiag), "l1"))
     if offdiag > NONDIAG_TOL:
         candidates.append((2, "nondiagonality"))
     lower, lower_method = _best_lower(candidates)
 
-    if upper is None:
+    if witness is None:
         if offdiag <= NONDIAG_TOL:
             # Diagonal state: the basis-state ensemble is its eigenvector
             # ensemble, independent of how the solver orders degeneracies.
@@ -195,9 +185,9 @@ def rank_certificate(
             upper = 1
             upper_method = "eigenvector-ensemble"
         else:
-            witness = _eigenvector_ensemble(rho)
-            upper = witness.max_member_rank(tau_amp)
-            upper_method = "pure-rank" if len(witness) == 1 else "eigenvector-ensemble"
+            upper, upper_method, witness = _eigenvector_ensemble(
+                rho, WeightedEnsemble.max_member_rank
+            )
 
     return RankCertificate(
         lower=lower,
@@ -216,7 +206,6 @@ def schmidt_certificate(
     alpha: float | None = None,
     n: int | None = None,
     d: int | None = None,
-    tau_amp: float = TAU_AMP,
 ) -> RankCertificate:
     """Certify the Schmidt number of a bipartite state.
 
@@ -243,7 +232,7 @@ def schmidt_certificate(
         except NotMaximallyCorrelatedError:
             base = None
     if base is not None:
-        cert = rank_certificate(base, family, alpha=alpha, n=n, d=d, tau_amp=tau_amp)
+        cert = rank_certificate(base, family, alpha=alpha, n=n, d=d)
         if cert.lower >= neg_lower:
             lower, lower_method = cert.lower, cert.lower_method
         else:
@@ -251,13 +240,10 @@ def schmidt_certificate(
         witness = None if cert.witness is None else cert.witness.lifted()
         return RankCertificate(lower, cert.upper, lower_method, cert.upper_method, witness)
 
-    vals, vecs = np.linalg.eigh(rho_hat)
-    keep = vals > EIG_CUTOFF
-    members = vecs[:, keep].T
-    ranks = [pure_schmidt_rank(row, dim_a, dim_b, tau_amp) for row in members]
-    upper = max(ranks) if ranks else 1
-    upper_method = "pure-rank" if len(ranks) == 1 else "eigenvector-ensemble"
-    witness = WeightedEnsemble(weights=vals[keep], states=members)
+    upper, upper_method, witness = _eigenvector_ensemble(
+        rho_hat,
+        lambda ens: max((pure_schmidt_rank(v, dim_a, dim_b) for v in ens.states), default=1),
+    )
     return RankCertificate(neg_lower, upper, "negativity", upper_method, witness)
 
 
@@ -305,8 +291,10 @@ def asymptotic_entanglement_cost(alpha: float) -> float:
 class CostReport:
     """Resource costs for n copies of the noisy coherent qubit family.
 
-    zero_error is log2(certified rank)/n when the rank is certified exactly,
-    otherwise an interval (lower, upper) from the matched bounds. The chain
+    zero_error is log2(certified_rank)/n when the rank is certified exactly,
+    otherwise an interval (lower, upper) from the matched bounds, and
+    certified_rank is then None. l1_lower is the l1 bound on the rank of
+    omega(alpha)^(x)n by itself. The chain
     asymptotic_ec <= regularized_lower <= regularized_upper <= zero_error
     upper value always holds (within 1e-9).
     """
@@ -317,6 +305,8 @@ class CostReport:
     regularized_lower: float
     regularized_upper: float
     asymptotic_ec: float
+    l1_lower: int
+    certified_rank: int | None
 
     @property
     def zero_error_upper(self) -> float:
@@ -332,20 +322,23 @@ def cost_report(alpha: float, n: int = 1) -> CostReport:
     if n < 1:
         raise ValueError(f"copy count must be >= 1, got {n}")
     if alpha == 0.0:
-        return CostReport(alpha, n, 0.0, 0.0, 0.0, 0.0)
+        return CostReport(alpha, n, 0.0, 0.0, 0.0, 0.0, l1_lower=1, certified_rank=1)
 
     rho = tensor_power(noisy_max_coherent(alpha), n)
     cert = rank_certificate(rho, "omega-power", alpha=alpha, n=n)
-    if cert.exact:
-        zero_error: float | tuple[float, float] = math.log2(cert.upper) / n
+    certified = cert.upper if cert.exact else None
+    if certified is not None:
+        zero_error: float | tuple[float, float] = math.log2(certified) / n
     else:
         zero_error = (math.log2(cert.lower) / n, math.log2(cert.upper) / n)
     reg_lower, reg_upper = regularized_cost_bounds(alpha)
-    ec = asymptotic_entanglement_cost(alpha)
+    rep = CostReport(
+        alpha, n, zero_error, reg_lower, reg_upper, asymptotic_entanglement_cost(alpha),
+        l1_rank_lower_bound(rho), certified,
+    )
 
-    upper_value = zero_error[1] if isinstance(zero_error, tuple) else zero_error
-    chain = (ec, reg_lower, reg_upper, upper_value)
+    chain = (rep.asymptotic_ec, reg_lower, reg_upper, rep.zero_error_upper)
     for left, right in zip(chain, chain[1:]):
         if left > right + 1e-9:
             raise RuntimeError(f"cost chain ordering violated: {chain}")
-    return CostReport(alpha, n, zero_error, reg_lower, reg_upper, ec)
+    return rep

@@ -7,7 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import as_complex_matrix, dephase, psd_tol, spectrum, trace_norm
+from .kernel import (
+    DimensionCapError,
+    as_complex_matrix,
+    dephase,
+    dim_cap,
+    psd_tol,
+    spectrum,
+    trace_norm,
+)
 from .states import fourier_flag_mixture, max_coherent, mc_lift, mc_unlift
 
 TOL_COV = 1e-9
@@ -60,6 +68,15 @@ class CovarianceReport:
     passed: bool
 
 
+def _slack(m: np.ndarray, tol_psd: float | None) -> float:
+    """PSD slack for m: tol_psd when given (finite, >= 0), else the scale-aware default."""
+    if tol_psd is None:
+        return psd_tol(m)
+    if not 0.0 <= tol_psd < math.inf:
+        raise ValueError(f"PSD tolerance must be finite and >= 0, got {tol_psd}")
+    return tol_psd
+
+
 def dio_feasible(rho, d: int, tol_psd: float | None = None) -> bool:
     """Whether the uniform d-level superposition reaches rho dephasing-covariantly.
 
@@ -71,8 +88,7 @@ def dio_feasible(rho, d: int, tol_psd: float | None = None) -> bool:
     if d < 1:
         raise ValueError(f"input dimension must be >= 1, got {d}")
     gap = d * dephase(rho) - rho
-    slack = psd_tol(gap) if tol_psd is None else tol_psd
-    return float(spectrum(gap)[0]) >= -slack
+    return float(spectrum(gap)[0]) >= -_slack(gap, tol_psd)
 
 
 def dio_synthesize(rho, d: int, tol_psd: float | None = None) -> DioChannel:
@@ -80,18 +96,24 @@ def dio_synthesize(rho, d: int, tol_psd: float | None = None) -> DioChannel:
 
     Raises DioInfeasibleError when the complementary component
     (d * dephase(rho) - rho) / (d - 1) has a genuinely negative eigenvalue,
-    i.e. when d is below the dephasing robustness of the target.
+    i.e. when d is below the dephasing robustness of the target, and
+    DimensionCapError before building anything when the d * dim(rho) Choi
+    side exceeds dim_cap().
     """
     rho = as_complex_matrix(rho)
     if d < 2:
         raise ValueError(f"synthesis needs input dimension >= 2, got {d}")
+    limit = dim_cap()
+    if d * rho.shape[0] > limit:
+        raise DimensionCapError(
+            f"channel Choi dimension {d} x {rho.shape[0]} exceeds cap {limit}"
+        )
     diag_part = dephase(rho)
     off_part = rho - diag_part
     comp_a = rho
     comp_b = diag_part - off_part / (d - 1)
-    slack = psd_tol(comp_b) if tol_psd is None else tol_psd
     lowest = float(spectrum(comp_b)[0])
-    if lowest < -slack:
+    if lowest < -_slack(comp_b, tol_psd):
         raise DioInfeasibleError(
             f"complementary component has eigenvalue {lowest:.3e}; "
             f"the target needs a larger input dimension than {d}"

@@ -8,22 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import (
-    cost_report,
-    delta_robustness,
-    dilution_dimension,
-    l1_rank_lower_bound,
-    rank_certificate,
-    regularized_cost_bounds,
-    asymptotic_entanglement_cost,
-)
+from .bounds import cost_report, delta_robustness, dilution_dimension
 from .channels import (
     DioInfeasibleError,
     cptp_report,
@@ -49,27 +39,6 @@ CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    alpha_min: float
-    alpha_max: float
-    steps: int
-    n_max: int
-    out: str | None = None
-
-    def validate(self) -> "SweepConfig":
-        if not 0.0 <= self.alpha_min <= self.alpha_max <= 1.0:
-            raise ValueError(
-                f"need 0 <= alpha-min <= alpha-max <= 1, got "
-                f"[{self.alpha_min}, {self.alpha_max}]"
-            )
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.n_max < 1:
-            raise ValueError(f"n-max must be >= 1, got {self.n_max}")
-        return self
-
-
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -85,51 +54,39 @@ def _emit_json(doc: dict, out: str | None) -> None:
     _emit(json.dumps(doc, indent=2) + "\n", out)
 
 
-def sweep_rows(cfg: SweepConfig) -> list[str]:
-    """One CSV row per (alpha, n), alpha ascending then n ascending."""
-    alphas = np.linspace(cfg.alpha_min, cfg.alpha_max, cfg.steps)
+def sweep_rows(alpha_min: float, alpha_max: float, steps: int, n_max: int) -> list[str]:
+    """One CSV row per (alpha, n) from cost_report, alpha ascending then n ascending."""
     rows = []
-    for alpha in alphas.tolist():
-        for n in range(1, cfg.n_max + 1):
-            rho = tensor_power(noisy_max_coherent(alpha), n)
-            l1_lower = l1_rank_lower_bound(rho)
-            feasible = power_pair_feasible(alpha, n)
-            if alpha == 0.0:
-                certified, zero_error = "1", _fmt(0.0)
-                reg_lower = reg_upper = 0.0
-            else:
-                cert = rank_certificate(rho, "omega-power", alpha=alpha, n=n)
-                certified = str(cert.upper) if cert.exact else ""
-                zero_error = _fmt(math.log2(cert.upper) / n) if cert.exact else ""
-                reg_lower, reg_upper = regularized_cost_bounds(alpha)
-            rows.append(
-                ",".join(
-                    [
-                        _fmt(alpha),
-                        str(n),
-                        str(l1_lower),
-                        "true" if feasible else "false",
-                        certified,
-                        zero_error,
-                        _fmt(reg_lower),
-                        _fmt(reg_upper),
-                        _fmt(asymptotic_entanglement_cost(alpha)),
-                    ]
-                )
-            )
+    for alpha in np.linspace(alpha_min, alpha_max, steps).tolist():
+        for n in range(1, n_max + 1):
+            rep = cost_report(alpha, n)
+            certified = rep.certified_rank is not None
+            cells = [
+                _fmt(alpha),
+                str(n),
+                str(rep.l1_lower),
+                "true" if power_pair_feasible(alpha, n) else "false",
+                str(rep.certified_rank) if certified else "",
+                _fmt(rep.zero_error) if certified else "",
+                _fmt(rep.regularized_lower),
+                _fmt(rep.regularized_upper),
+                _fmt(rep.asymptotic_ec),
+            ]
+            rows.append(",".join(cells))
     return rows
 
 
 def cmd_nonadd(args: argparse.Namespace) -> int:
-    cfg = SweepConfig(
-        alpha_min=args.alpha_min,
-        alpha_max=args.alpha_max,
-        steps=args.steps,
-        n_max=args.n_max,
-        out=args.out,
-    ).validate()
-    text = "\n".join([CSV_HEADER, *sweep_rows(cfg)]) + "\n"
-    _emit(text, cfg.out)
+    if not 0.0 <= args.alpha_min <= args.alpha_max <= 1.0:
+        raise ValueError(
+            f"need 0 <= alpha-min <= alpha-max <= 1, got [{args.alpha_min}, {args.alpha_max}]"
+        )
+    if args.steps < 1:
+        raise ValueError(f"steps must be >= 1, got {args.steps}")
+    if args.n_max < 1:
+        raise ValueError(f"n-max must be >= 1, got {args.n_max}")
+    rows = sweep_rows(args.alpha_min, args.alpha_max, args.steps, args.n_max)
+    _emit("\n".join([CSV_HEADER, *rows]) + "\n", args.out)
     return 0
 
 

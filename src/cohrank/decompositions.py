@@ -66,9 +66,9 @@ class WeightedEnsemble:
         weighted = self.states * self.weights[:, None]
         return weighted.T @ self.states.conj()
 
-    def max_member_rank(self, tau_amp: float = TAU_AMP) -> int:
-        """Largest number of amplitudes above tau_amp in any member."""
-        return int((np.abs(self.states) > tau_amp).sum(axis=1).max())
+    def max_member_rank(self) -> int:
+        """Largest number of amplitudes above TAU_AMP in any member."""
+        return int((np.abs(self.states) > TAU_AMP).sum(axis=1).max())
 
     def lifted(self) -> "WeightedEnsemble":
         """Maximally correlated lift: each amplitude on |i> moves to |ii>."""
@@ -130,11 +130,9 @@ class PairEnsemble:
         )
         return recon
 
-    def max_member_rank(self, tau_amp: float = TAU_AMP) -> int:
-        """Largest number of amplitudes above tau_amp in any member."""
-        pair_rank = 2 * int(PAIR_AMP > tau_amp) if self.rows.size else 0
-        basis_rank = int(1.0 > tau_amp) if self.basis.size else 0
-        return max(pair_rank, basis_rank)
+    def max_member_rank(self) -> int:
+        """2 if any pair member is present, else 1 if any basis member is."""
+        return 2 if self.rows.size else int(self.basis.size > 0)
 
     def lifted(self) -> "PairEnsemble":
         """Maximally correlated lift: label i maps to |ii>, i.e. i * (target_dim + 1)."""
@@ -161,8 +159,13 @@ class EnsembleReport:
 
 
 def power_pair_feasible(alpha: float, n: int) -> bool:
-    """Whether the two-level ensemble for the n-fold noisy coherent power closes."""
-    return (2.0 - (1.0 + alpha) ** n) / 2.0**n >= -WEIGHT_CUTOFF
+    """Whether the two-level ensemble for the n-fold noisy coherent power closes.
+
+    The test is on the total missing diagonal mass 2 - (1+alpha)**n, so a
+    feasible witness always passes the 1e-9 weight-sum check of
+    verify_ensemble, whatever n.
+    """
+    return 2.0 - (1.0 + alpha) ** n >= -WEIGHT_CUTOFF
 
 
 def _pair_residual(alpha: float, n: int, cap: int | None) -> float:
@@ -175,10 +178,9 @@ def _pair_residual(alpha: float, n: int, cap: int | None) -> float:
     limit = dim_cap() if cap is None else cap
     if size > limit:
         raise DimensionCapError(f"ensemble dimension {size} exceeds cap {limit}")
-    residual = (2.0 - (1.0 + alpha) ** n) / size
-    if residual < -WEIGHT_CUTOFF:
+    if not power_pair_feasible(alpha, n):
         raise InfeasiblePairEnsembleError(alpha, n)
-    return residual
+    return (2.0 - (1.0 + alpha) ** n) / size
 
 
 def _keeps_basis(residual: float, size: int) -> bool:
@@ -265,12 +267,7 @@ def dual_flag_ensemble(d: int) -> WeightedEnsemble:
     return WeightedEnsemble(weights=weights, states=states)
 
 
-def verify_ensemble(
-    ens: Ensemble,
-    target,
-    tol_recon: float = 1e-9,
-    tau_amp: float = TAU_AMP,
-) -> EnsembleReport:
+def verify_ensemble(ens: Ensemble, target, tol_recon: float = 1e-9) -> EnsembleReport:
     """Reconstruct the weighted mixture and compare against the target state.
 
     Reports the trace distance (half trace norm of the difference), the
@@ -299,7 +296,7 @@ def verify_ensemble(
     )
     return EnsembleReport(
         reconstruction_trace_distance=distance,
-        max_member_rank=ens.max_member_rank(tau_amp),
+        max_member_rank=ens.max_member_rank(),
         weight_sum=weight_sum,
         feasible=feasible,
     )

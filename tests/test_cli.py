@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -20,6 +21,58 @@ from helpers import random_density
 def run(args, capsys):
     code = main(args)
     return code, capsys.readouterr().out
+
+
+# stdout of these invocations is pinned byte for byte: the CSV/JSON format is
+# part of the interface. The small grid holds alpha = 0, the n = 2 boundary
+# sqrt(2) - 1 (an infeasible row at n = 3) and an interior alpha.
+GOLDEN_SMALL_GRID = """\
+alpha,n,l1_lower,construction_feasible,certified_rank,zero_error_per_copy,reg_lower,reg_upper,ec_asymptotic
+0,1,1,true,1,0,0,0,0
+0,2,1,true,1,0,0,0,0
+0,3,1,true,1,0,0,0,0
+0.207106781187,1,2,true,2,1,0.271553303164,0.333333333333,0.0863171444541
+0.207106781187,2,2,true,2,0.5,0.271553303164,0.333333333333,0.0863171444541
+0.207106781187,3,2,true,2,0.333333333333,0.271553303164,0.333333333333,0.0863171444541
+0.414213562373,1,2,true,2,1,0.5,0.5,0.264368837538
+0.414213562373,2,2,true,2,0.5,0.5,0.5,0.264368837538
+0.414213562373,3,3,false,,,0.5,0.5,0.264368837538
+"""
+
+GOLDEN_SHA256 = [
+    (["nonadd", "--alpha-min", "0", "--alpha-max", "1", "--steps", "5", "--n-max", "3"],
+     "0621d1c4f97135310f8ed11a0a48a06f6f81dc1724e514e8c98dbcc6294fe11a"),
+    # near ||rho||_l1 = 1e-9 the l1 column is the l1 bound itself, not the
+    # certificate's lower bound (which the nondiagonality floor can raise)
+    (["nonadd", "--alpha-min", "1e-9", "--alpha-max", "1.1e-9", "--steps", "201",
+      "--n-max", "1"],
+     "748b44f8b852c437915f8d837f8748ef11d2c4b9b3301ea41d7531bc3e79a11e"),
+    (["cost", "--alpha", "0"],
+     "0f681afccc63c684e4ac0a9133490119651e769c88bc5eb7eb43f758e806df62"),
+    (["cost", "--alpha", "0.26", "--n", "3"],
+     "9f22e39996eca315bf04afc2a8c6395f36efb0945a76198f87ec9efda905159c"),
+    (["cost", "--alpha", "0.5", "--n", "6"],
+     "a908ab22e695412d286bb80dc579bb84f24c468c8929ff1c18c5e86fc43083d6"),
+]
+
+
+class TestGoldenBytes:
+    def test_small_grid_text(self, capsys):
+        code, out = run(
+            ["nonadd", "--alpha-min", "0", "--alpha-max", repr(math.sqrt(2) - 1),
+             "--steps", "3", "--n-max", "3"],
+            capsys,
+        )
+        assert code == 0
+        assert out == GOLDEN_SMALL_GRID
+
+    @pytest.mark.parametrize(
+        "args,digest", GOLDEN_SHA256, ids=[" ".join(a) for a, _ in GOLDEN_SHA256]
+    )
+    def test_stdout_digest(self, args, digest, capsys):
+        code, out = run(args, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSerializeRoundTrip:
@@ -109,6 +162,19 @@ class TestNonadd:
         assert n3[4] == ""
         assert n3[5] == ""
         assert n3[2] == "3"  # l1 bound survives: ceil(1.3^3) = 3
+
+    def test_feasibility_sliver_row_reads_false(self, capsys):
+        # (1+alpha)**10 exceeds 2 by 0.99e-12 * 2**10: below the -1e-12 floor on
+        # the total missing diagonal mass, so the witness cannot certify the row
+        alpha = (2 + 0.99e-12 * 1024) ** (1 / 10) - 1
+        code, out = run(
+            ["nonadd", "--alpha-min", repr(alpha), "--alpha-max", repr(alpha),
+             "--steps", "1", "--n-max", "10"],
+            capsys,
+        )
+        assert code == 0
+        row = out.strip().split("\n")[-1].split(",")
+        assert row[1] == "10" and row[3] == "false" and row[4] == ""
 
     def test_invalid_range_exits_3(self, capsys):
         assert main(["nonadd", "--alpha-max", "1.5"]) == 3
@@ -234,6 +300,23 @@ class TestDio:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "non-finite" in captured.err
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tol_psd_exits_3(self, tol, tmp_path, capsys):
+        state = self.write_state(tmp_path, noisy_max_coherent(0.3))
+        assert main(["dio", "--state", state, "--d", "2", f"--tol-psd={tol}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "PSD tolerance" in captured.err
+
+    def test_input_dimension_over_cap_exits_3(self, tmp_path, monkeypatch, capsys):
+        state = self.write_state(tmp_path, noisy_max_coherent(0.3))
+        # refused before the 40000 x 40000 Choi matrix is allocated
+        assert main(["dio", "--state", state, "--d", "20000"]) == 3
+        assert "exceeds cap" in capsys.readouterr().err
+        monkeypatch.setenv("COHRANK_DIM_CAP", "8")
+        assert main(["dio", "--state", state, "--d", "4"]) == 0  # 4 x 2 <= 8
+        assert main(["dio", "--state", state, "--d", "5"]) == 3  # 5 x 2 > 8
 
     def test_malformed_json_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

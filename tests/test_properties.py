@@ -4,6 +4,7 @@ the feasibility boundary alpha = 2**(1/n) - 1."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohrank import (
@@ -78,3 +79,15 @@ def test_feasibility_build_and_exactness_flip_together(params):
     rho = tensor_power(noisy_max_coherent(alpha), n)
     exact = rank_certificate(rho, "omega-power", alpha=alpha, n=n).exact
     assert feasible == built == exact
+
+
+@pytest.mark.parametrize("excess,feasible", [(0.99e-12, True), (0.99e-12 * 2**10, False)])
+def test_feasibility_tests_total_missing_mass(excess, feasible):
+    """At n = 10 with (1+alpha)**n = 2 + excess, the witness is feasible and
+    certifies exactly when the missing diagonal mass -excess is >= -1e-12."""
+    alpha = (2 + excess) ** (1 / 10) - 1
+    assert power_pair_feasible(alpha, 10) == feasible
+    rho = tensor_power(noisy_max_coherent(alpha), 10)
+    cert = rank_certificate(rho, "omega-power", alpha=alpha, n=10)
+    assert cert.upper_method == ("ensemble-witness" if feasible else "eigenvector-ensemble")
+    assert cert.exact == feasible
