@@ -211,8 +211,9 @@ def schmidt_certificate(
 
     On maximally correlated states the Schmidt number equals the coherence
     rank of the unlifted state, so the full coherence certificate transfers
-    (its witness is lifted by moving each label i to ii). Otherwise only the
-    negativity lower bound and an eigenvector upper bound are reported.
+    (its witness is lifted by moving each label i to ii) and no partial
+    transpose is formed. Otherwise only the negativity lower bound and an
+    eigenvector upper bound are reported.
     """
     rho_hat = as_complex_matrix(rho_hat)
     if dims is None:
@@ -223,8 +224,6 @@ def schmidt_certificate(
         raise ValueError(
             f"dimension {rho_hat.shape[0]} does not factor as {dim_a} x {dim_b}"
         )
-    neg_lower = negativity_rank_lower_bound(rho_hat, dim_a, dim_b)
-
     base = None
     if dim_a == dim_b:
         try:
@@ -232,18 +231,19 @@ def schmidt_certificate(
         except NotMaximallyCorrelatedError:
             base = None
     if base is not None:
+        # ||lift(rho)^G||_1 = 1 + ||rho||_l1, so the negativity bound is the
+        # base l1 bound, which rank_certificate already takes.
         cert = rank_certificate(base, family, alpha=alpha, n=n, d=d)
-        if cert.lower >= neg_lower:
-            lower, lower_method = cert.lower, cert.lower_method
-        else:
-            lower, lower_method = neg_lower, "negativity"
         witness = None if cert.witness is None else cert.witness.lifted()
-        return RankCertificate(lower, cert.upper, lower_method, cert.upper_method, witness)
+        return RankCertificate(
+            cert.lower, cert.upper, cert.lower_method, cert.upper_method, witness
+        )
 
     upper, upper_method, witness = _eigenvector_ensemble(
         rho_hat,
         lambda ens: max((pure_schmidt_rank(v, dim_a, dim_b) for v in ens.states), default=1),
     )
+    neg_lower = negativity_rank_lower_bound(rho_hat, dim_a, dim_b)
     return RankCertificate(neg_lower, upper, "negativity", upper_method, witness)
 
 

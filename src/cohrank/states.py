@@ -110,10 +110,14 @@ def mc_lift(rho) -> np.ndarray:
 
     The lift |i> -> |ii> is an isometry: <ii|out|jj> = <i|rho|j> and every
     other entry is zero, so Hermiticity, trace and positivity carry over, as
-    does the off-diagonal l1 mass.
+    does the off-diagonal l1 mass. Raises DimensionCapError before allocating
+    when the lifted dimension d*d exceeds dim_cap().
     """
     rho = as_complex_matrix(rho)
     d = rho.shape[0]
+    limit = dim_cap()
+    if d * d > limit:
+        raise DimensionCapError(f"lifted dimension {d}**2 exceeds cap {limit}")
     out = np.zeros((d * d, d * d), dtype=complex)
     idx = np.arange(d) * d + np.arange(d)
     out[np.ix_(idx, idx)] = rho
@@ -133,7 +137,8 @@ def mc_unlift(rho_hat, d: int | None = None, tol_mc: float = 1e-9) -> np.ndarray
     """Invert mc_lift, rejecting states with weight outside the correlated block.
 
     Raises NotMaximallyCorrelatedError when any entry off the |ii><jj| block
-    has modulus above tol_mc.
+    has modulus above tol_mc. The input is scanned in slabs of d rows, so the
+    scratch space is O(d * dim), not a copy of the input.
     """
     rho_hat = as_complex_matrix(rho_hat)
     dim = rho_hat.shape[0]
@@ -142,10 +147,15 @@ def mc_unlift(rho_hat, d: int | None = None, tol_mc: float = 1e-9) -> np.ndarray
     if d * d != dim:
         raise ValueError(f"dimension {dim} is not a perfect square of {d}")
     idx = np.arange(d) * d + np.arange(d)
-    block = rho_hat[np.ix_(idx, idx)].copy()
-    rest = rho_hat.copy()
-    rest[np.ix_(idx, idx)] = 0.0
-    leak = float(np.abs(rest).max()) if rest.size else 0.0
+    block = rho_hat[np.ix_(idx, idx)]
+    # Slab i holds rows i*d .. i*d+d-1; its only block row is local row i.
+    # The slab maxima go through np.max, so a NaN propagates into leak.
+    peaks = np.zeros(d)
+    for i in range(d):
+        mag = np.abs(rho_hat[i * d : (i + 1) * d])
+        mag[i, idx] = 0.0
+        peaks[i] = mag.max()
+    leak = float(peaks.max()) if d else 0.0
     if leak > tol_mc:
         raise NotMaximallyCorrelatedError(
             f"off-block entry of modulus {leak:.3e} exceeds {tol_mc:.1e}"

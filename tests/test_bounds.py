@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from cohrank import (
     PairEnsemble,
     asymptotic_entanglement_cost,
     binary_entropy,
+    bounds,
     cost_report,
     delta_robustness,
     dephase,
     dilution_dimension,
+    dio_synthesize,
     dual_flag_ensemble,
     fourier_flag_mixture,
     l1_coherence,
@@ -18,6 +21,7 @@ from cohrank import (
     max_coherent,
     mc_lift,
     mc_lift_vector,
+    mcdc_apply,
     negativity,
     negativity_rank_lower_bound,
     noisy_max_coherent,
@@ -212,6 +216,27 @@ class TestSchmidtCertificate:
         np.testing.assert_array_equal(
             np.array([psi for _, psi in cert.witness.members()]), dense.states
         )
+
+    def test_correlated_branch_forms_no_partial_transpose(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("negativity called on a maximally correlated state")
+
+        monkeypatch.setattr(bounds, "negativity", refuse)
+        ebit = mc_lift(np.outer(max_coherent(2), max_coherent(2).conj()))
+        image = mcdc_apply(dio_synthesize(fourier_flag_mixture(5), 2), ebit)
+        cert = schmidt_certificate(image, family="rho-d", d=5)
+        assert (cert.lower, cert.upper) == (6, 6)
+
+    def test_correlated_branch_scratch_is_small(self):
+        lifted = mc_lift(fourier_flag_mixture(24))
+        tracemalloc.start()
+        try:
+            cert = schmidt_certificate(lifted, family="rho-d", d=24)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (cert.lower, cert.upper) == (25, 25)
+        assert peak < lifted.nbytes / 8
 
     def test_pure_schmidt_rank(self):
         assert pure_schmidt_rank(mc_lift_vector(max_coherent(2)), 2, 2) == 2

@@ -25,7 +25,7 @@ from cohrank import (
     sign_flip_check,
     spectrum,
 )
-from helpers import random_density, random_pure
+from helpers import covariance_violation_loop, random_density, random_pure
 
 
 def uniform_projector(d):
@@ -176,6 +176,28 @@ class TestChannelValidation:
         report = choi_covariance_report(choi, 2, 2)
         assert not report.passed
         assert report.max_violation > 0.1
+
+    @pytest.mark.parametrize("din,dout", [(1, 1), (1, 4), (2, 2), (3, 2), (2, 5), (4, 3)])
+    def test_covariance_matches_loop_oracle_on_random_choi(self, din, dout):
+        rng = np.random.default_rng(100 * din + dout)
+        dim = din * dout
+        choi = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        report = choi_covariance_report(choi, din, dout)
+        assert report.max_violation == covariance_violation_loop(choi, din, dout)
+        assert report.basis_size == din * din
+
+    @pytest.mark.parametrize(
+        "target,d",
+        [(fourier_flag_mixture(3), 2), (fourier_flag_mixture(6), 5), (noisy_max_coherent(0.3), 7)],
+    )
+    def test_covariance_matches_loop_oracle_on_synthesized(self, target, d):
+        ch = dio_synthesize(target, d)
+        expected = covariance_violation_loop(ch.choi, ch.input_dim, ch.output_dim)
+        assert covariance_report(ch).max_violation == expected
+
+    def test_covariance_rejects_mismatched_dims(self):
+        with pytest.raises(ValueError, match="Choi dimension"):
+            choi_covariance_report(np.eye(6), 2, 2)
 
     def test_non_trace_preserving_choi_flagged(self):
         report = choi_cptp_report(2 * np.eye(4), 2, 2)

@@ -1,5 +1,6 @@
-"""Property tests: the index-array pair witness against the dense oracle, and
-the feasibility boundary alpha = 2**(1/n) - 1."""
+"""Property tests: the index-array pair witness against the dense oracle, the
+feasibility boundary alpha = 2**(1/n) - 1, and the maximally correlated Schmidt
+certificate against the partial-transpose negativity bound."""
 
 import math
 
@@ -9,12 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from cohrank import (
     InfeasiblePairEnsembleError,
+    mc_lift,
+    negativity_rank_lower_bound,
     noisy_max_coherent,
     power_pair_ensemble,
     power_pair_feasible,
     power_pair_members,
     power_pair_witness,
     rank_certificate,
+    schmidt_certificate,
     tensor_power,
     verify_ensemble,
 )
@@ -91,3 +95,31 @@ def test_feasibility_tests_total_missing_mass(excess, feasible):
     cert = rank_certificate(rho, "omega-power", alpha=alpha, n=10)
     assert cert.upper_method == ("ensemble-witness" if feasible else "eigenvector-ensemble")
     assert cert.exact == feasible
+
+
+@st.composite
+def densities(draw):
+    """Density matrix of dimension 1..6 and rank 1..dim from a seeded Gaussian factor."""
+    dim = draw(st.integers(1, 6))
+    rank = draw(st.integers(1, dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+@settings(max_examples=40, deadline=None)
+@given(densities())
+def test_correlated_schmidt_certificate_matches_negativity_oracle(rho):
+    """On a lift, the base certificate's lower bound already includes the
+    negativity bound: ||lift(rho)^G||_1 = 1 + ||rho||_l1."""
+    d = rho.shape[0]
+    lifted = mc_lift(rho)
+    base = rank_certificate(rho)
+    cert = schmidt_certificate(lifted)
+    assert cert.lower == max(base.lower, negativity_rank_lower_bound(lifted, d, d))
+    assert (cert.upper, cert.lower_method, cert.upper_method) == (
+        base.upper,
+        base.lower_method,
+        base.upper_method,
+    )

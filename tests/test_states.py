@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cohrank import (
+    DimensionCapError,
     NotMaximallyCorrelatedError,
     fourier_flag_dual,
     fourier_flag_mixture,
@@ -220,3 +221,20 @@ class TestCorrelatedLift:
     def test_unlift_rejects_non_square_dimension(self):
         with pytest.raises(ValueError):
             mc_unlift(np.eye(6) / 6)
+
+    @pytest.mark.parametrize(
+        "row,col",
+        [(0, 1), (8, 7), (1, 4)],
+        ids=["first-row", "last-row", "block-column-of-non-block-row"],
+    )
+    def test_unlift_rejects_single_off_block_entry(self, row, col):
+        rho_hat = mc_lift(random_density(np.random.default_rng(33), 3))
+        rho_hat[row, col] = 1e-6
+        with pytest.raises(NotMaximallyCorrelatedError, match="1.000e-06 exceeds 1.0e-09"):
+            mc_unlift(rho_hat)
+
+    def test_lift_refuses_over_cap_before_allocating(self, monkeypatch):
+        monkeypatch.setenv("COHRANK_DIM_CAP", "8")
+        with pytest.raises(DimensionCapError, match="exceeds cap 8"):
+            mc_lift(np.eye(3) / 3)
+        assert mc_lift(np.eye(2) / 2).shape == (4, 4)
