@@ -22,10 +22,7 @@ from .channels import (
     CptpReport,
     DioChannel,
     DioInfeasibleError,
-    apply_channel,
     choi_apply,
-    choi_covariance_report,
-    choi_cptp_report,
     covariance_report,
     cptp_report,
     dio_feasible,
@@ -65,6 +62,7 @@ from .states import (
     fourier_flag_state,
     max_coherent,
     mc_lift,
+    mc_labels,
     mc_lift_vector,
     mc_unlift,
     noisy_max_coherent,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,17 +55,17 @@ def negativity_rank_lower_bound(rho_hat, dim_a: int, dim_b: int) -> int:
     return math.ceil(2.0 * negativity(rho_hat, dim_a, dim_b) + 1.0 - CEIL_GUARD)
 
 
-def delta_robustness(rho, tol_diag: float = DIAG_SUPPORT_TOL) -> float:
+def delta_robustness(rho) -> float:
     """Smallest lam such that lam * dephase(rho) - rho is positive semidefinite.
 
     Computed as the top eigenvalue of D^(-1/2) rho D^(-1/2) restricted to the
-    support of D = dephase(rho); diagonal entries at or below tol_diag are
-    dropped. Equals 1 exactly on diagonal states and the coherence rank on
-    pure states.
+    support of D = dephase(rho); diagonal entries at or below
+    DIAG_SUPPORT_TOL are dropped. Equals 1 exactly on diagonal states and the
+    coherence rank on pure states.
     """
     rho = as_complex_matrix(rho)
     diag = np.diag(rho).real
-    support = np.flatnonzero(diag > tol_diag)
+    support = np.flatnonzero(diag > DIAG_SUPPORT_TOL)
     if support.size == 0:
         return 1.0
     sub = rho[np.ix_(support, support)]
@@ -122,12 +122,28 @@ def _eigenvector_ensemble(rho: np.ndarray, member_rank) -> tuple[int, str, Weigh
     return member_rank(witness), method, witness
 
 
-def _best_lower(candidates: list[tuple[int, str]]) -> tuple[int, str]:
-    best, method = candidates[0]
-    for value, tag in candidates[1:]:
-        if value > best:
-            best, method = value, tag
-    return best, method
+def _check_family(family: str | None, **params) -> None:
+    """Reject a family hint that is unknown or lacks its own parameters."""
+    needs = {None: (), "omega-power": ("alpha", "n"), "rho-d": ("d",)}
+    if family not in needs:
+        raise ValueError(f"unknown family {family!r}; expected omega-power or rho-d")
+    missing = [name for name in needs[family] if params[name] is None]
+    if missing:
+        raise ValueError(f"family {family!r} needs {', '.join(missing)}")
+
+
+def _settled(cert: RankCertificate, max_rank: int) -> RankCertificate:
+    """Keep lower <= upper <= max_rank, the largest rank any state here has.
+
+    A larger lower bound means the input is not a density matrix. An upper
+    bound below the lower one counted amplitudes or singular values under
+    TAU_AMP as zero; max_rank bounds every member regardless.
+    """
+    if cert.lower > max_rank:
+        raise ValueError(
+            f"rank lower bound {cert.lower} exceeds {max_rank}: not a density matrix"
+        )
+    return replace(cert, upper=max_rank) if cert.upper < cert.lower else cert
 
 
 def rank_certificate(
@@ -147,15 +163,18 @@ def rank_certificate(
     alpha and n, "rho-d" needs d); otherwise it falls back to the eigenvector
     ensemble, which is generally loose, so exactness is only claimed when both
     bounds meet. A hint whose witness fails to verify is dropped entirely,
-    which keeps lower <= upper even for mislabeled inputs.
+    which keeps lower <= upper even for mislabeled inputs. Unknown or
+    incomplete hints and non-states whose lower bound exceeds the dimension
+    raise ValueError.
     """
+    _check_family(family, alpha=alpha, n=n, d=d)
     rho = as_complex_matrix(rho)
     offdiag = l1_coherence(rho)
 
     ens: Ensemble | None = None
-    if family == "omega-power" and alpha is not None and n is not None and alpha > 0:
+    if family == "omega-power" and alpha > 0:
         ens = power_pair_witness(alpha, n) if power_pair_feasible(alpha, n) else None
-    elif family == "rho-d" and d is not None:
+    elif family == "rho-d":
         ens = dual_flag_ensemble(d)
     witness: Ensemble | None = None
     upper: int | None = None
@@ -171,7 +190,8 @@ def rank_certificate(
     candidates.append((_l1_bound(offdiag), "l1"))
     if offdiag > NONDIAG_TOL:
         candidates.append((2, "nondiagonality"))
-    lower, lower_method = _best_lower(candidates)
+    # max keeps the first candidate among equal bounds.
+    lower, lower_method = max(candidates, key=lambda c: c[0])
 
     if witness is None:
         if offdiag <= NONDIAG_TOL:
@@ -189,13 +209,8 @@ def rank_certificate(
                 rho, WeightedEnsemble.max_member_rank
             )
 
-    return RankCertificate(
-        lower=lower,
-        upper=upper,
-        lower_method=lower_method,
-        upper_method=upper_method,
-        witness=witness,
-    )
+    cert = RankCertificate(lower, upper, lower_method, upper_method, witness)
+    return _settled(cert, rho.shape[0])
 
 
 def schmidt_certificate(
@@ -213,8 +228,9 @@ def schmidt_certificate(
     rank of the unlifted state, so the full coherence certificate transfers
     (its witness is lifted by moving each label i to ii) and no partial
     transpose is formed. Otherwise only the negativity lower bound and an
-    eigenvector upper bound are reported.
+    eigenvector upper bound are reported. Raises ValueError like rank_certificate.
     """
+    _check_family(family, alpha=alpha, n=n, d=d)
     rho_hat = as_complex_matrix(rho_hat)
     if dims is None:
         side = math.isqrt(rho_hat.shape[0])
@@ -227,7 +243,7 @@ def schmidt_certificate(
     base = None
     if dim_a == dim_b:
         try:
-            base = mc_unlift(rho_hat, dim_a)
+            base = mc_unlift(rho_hat)
         except NotMaximallyCorrelatedError:
             base = None
     if base is not None:
@@ -244,7 +260,8 @@ def schmidt_certificate(
         lambda ens: max((pure_schmidt_rank(v, dim_a, dim_b) for v in ens.states), default=1),
     )
     neg_lower = negativity_rank_lower_bound(rho_hat, dim_a, dim_b)
-    return RankCertificate(neg_lower, upper, "negativity", upper_method, witness)
+    cert = RankCertificate(neg_lower, upper, "negativity", upper_method, witness)
+    return _settled(cert, min(dim_a, dim_b))
 
 
 def regularized_cost_bounds(alpha: float) -> tuple[float, float]:

@@ -15,10 +15,13 @@ from .kernel import (
     psd_tol,
     spectrum,
 )
-from .states import fourier_flag_mixture, max_coherent, mc_lift, mc_unlift
+from .states import fourier_flag_mixture, max_coherent, mc_labels, mc_lift, mc_unlift
 
 TOL_COV = 1e-9
 TOL_TRACE_OUT = 1e-9
+# sign_flip_check: entrywise match of the reflection, and its PSD slack.
+TOL_REFLECT = 1e-12
+TOL_REFLECT_PSD = 1e-10
 
 
 class DioInfeasibleError(Exception):
@@ -147,12 +150,7 @@ def choi_apply(choi, din: int, dout: int, sigma) -> np.ndarray:
     return np.einsum("ki,kaib->ab", sigma, blocks)
 
 
-def apply_channel(ch: DioChannel, sigma) -> np.ndarray:
-    """Apply a synthesized channel to an input-dimension matrix."""
-    return choi_apply(ch.choi, ch.input_dim, ch.output_dim, sigma)
-
-
-def choi_cptp_report(choi, din: int, dout: int, tol: float = TOL_TRACE_OUT) -> CptpReport:
+def cptp_report(choi, din: int, dout: int) -> CptpReport:
     """Complete positivity (Choi PSD) and trace preservation (input marginal = I)."""
     choi = as_complex_matrix(choi)
     if choi.shape[0] != din * dout:
@@ -160,19 +158,13 @@ def choi_cptp_report(choi, din: int, dout: int, tol: float = TOL_TRACE_OUT) -> C
     min_eig = float(spectrum(choi)[0])
     marginal = np.einsum("iaja->ij", choi.reshape(din, dout, din, dout))
     violation = float(np.abs(marginal - np.eye(din)).max())
-    passed = min_eig >= -psd_tol(choi) and violation <= tol
+    passed = min_eig >= -psd_tol(choi) and violation <= TOL_TRACE_OUT
     return CptpReport(
         min_choi_eigenvalue=min_eig, trace_out_violation=violation, passed=passed
     )
 
 
-def cptp_report(ch: DioChannel, tol: float = TOL_TRACE_OUT) -> CptpReport:
-    return choi_cptp_report(ch.choi, ch.input_dim, ch.output_dim, tol)
-
-
-def choi_covariance_report(
-    choi, din: int, dout: int, tol_cov: float = TOL_COV
-) -> CovarianceReport:
+def covariance_report(choi, din: int, dout: int) -> CovarianceReport:
     """Check commutation with full dephasing on all din^2 matrix units.
 
     By linearity this basis is sufficient: the report carries the largest
@@ -192,17 +184,11 @@ def choi_covariance_report(
     mismatch[units, units, levels, levels] = 0.0
     worst = float(np.linalg.svd(mismatch, compute_uv=False).sum(-1).max())
     return CovarianceReport(
-        max_violation=worst, basis_size=din * din, passed=worst <= tol_cov
+        max_violation=worst, basis_size=din * din, passed=worst <= TOL_COV
     )
 
 
-def covariance_report(ch: DioChannel, tol_cov: float = TOL_COV) -> CovarianceReport:
-    return choi_covariance_report(ch.choi, ch.input_dim, ch.output_dim, tol_cov)
-
-
-def sign_flip_check(
-    d: int, tol_eq: float = 1e-12, tol_psd: float = 1e-10
-) -> bool:
+def sign_flip_check(d: int) -> bool:
     """Verify the reflection identity behind the flag-mixture feasibility proof.
 
     Conjugating the flag mixture by the diagonal unitary that negates the
@@ -214,12 +200,12 @@ def sign_flip_check(
     signs = np.concatenate([np.ones(d), -np.ones(d)])
     conjugated = rho * np.outer(signs, signs)
     reflected = 2.0 * dephase(rho) - rho
-    if float(np.abs(conjugated - reflected).max()) > tol_eq:
+    if float(np.abs(conjugated - reflected).max()) > TOL_REFLECT:
         return False
-    return float(spectrum(reflected)[0]) >= -tol_psd
+    return float(spectrum(reflected)[0]) >= -TOL_REFLECT_PSD
 
 
-def mc_twirl(rho_hat, d: int | None = None) -> np.ndarray:
+def mc_twirl(rho_hat) -> np.ndarray:
     """Project a d x d bipartite state onto the diagonal-twirl-invariant algebra.
 
     Keeps every diagonal entry <ij|rho|ij> and the correlated block
@@ -229,12 +215,11 @@ def mc_twirl(rho_hat, d: int | None = None) -> np.ndarray:
     """
     rho_hat = as_complex_matrix(rho_hat)
     dim = rho_hat.shape[0]
-    if d is None:
-        d = math.isqrt(dim)
+    d = math.isqrt(dim)
     if d * d != dim:
-        raise ValueError(f"dimension {dim} is not a perfect square of {d}")
+        raise ValueError(f"dimension {dim} is not a perfect square")
     out = np.diag(np.diag(rho_hat))
-    idx = np.arange(d) * d + np.arange(d)
+    idx = mc_labels(d)
     out[np.ix_(idx, idx)] = rho_hat[np.ix_(idx, idx)]
     return out
 
@@ -251,5 +236,5 @@ def mcdc_apply(ch: DioChannel, rho_hat) -> np.ndarray:
         raise ValueError(
             f"correlated input dimension {rho_hat.shape[0]} != {ch.input_dim}^2"
         )
-    base = mc_unlift(rho_hat, ch.input_dim)
-    return mc_lift(apply_channel(ch, base))
+    base = mc_unlift(rho_hat)
+    return mc_lift(choi_apply(ch.choi, ch.input_dim, ch.output_dim, base))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -150,20 +151,10 @@ def cmd_dio(args: argparse.Namespace) -> int:
         _emit_json(doc, args.out)
         return 2
     ch = dio_synthesize(rho, args.d, tol_psd=args.tol_psd)
-    cptp = cptp_report(ch)
-    cov = covariance_report(ch)
     doc["feasible"] = True
     doc["channel"] = channel_to_json(ch)
-    doc["cptp"] = {
-        "min_choi_eigenvalue": cptp.min_choi_eigenvalue,
-        "trace_out_violation": cptp.trace_out_violation,
-        "passed": cptp.passed,
-    }
-    doc["covariance"] = {
-        "max_violation": cov.max_violation,
-        "basis_size": cov.basis_size,
-        "passed": cov.passed,
-    }
+    doc["cptp"] = asdict(cptp_report(ch.choi, ch.input_dim, ch.output_dim))
+    doc["covariance"] = asdict(covariance_report(ch.choi, ch.input_dim, ch.output_dim))
     _emit_json(doc, args.out)
     return 0
 

@@ -13,12 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import as_complex_matrix, dim_cap, DimensionCapError
-from .states import TAU_AMP, fourier_flag_dual
+from .states import TAU_AMP, fourier_flag_dual, mc_labels
 
 # Members whose weight falls at or below cutoff/size are dropped as exact zeros.
 WEIGHT_CUTOFF = 1e-12
 # Amplitude of each level in a two-level member (|i> + |j>)/sqrt(2).
 PAIR_AMP = 1.0 / math.sqrt(2)
+# An ensemble verifies when its mixture is within this trace distance of the target.
+TOL_RECON = 1e-9
 
 
 class InfeasiblePairEnsembleError(Exception):
@@ -74,7 +76,7 @@ class WeightedEnsemble:
         """Maximally correlated lift: each amplitude on |i> moves to |ii>."""
         dim = self.target_dim
         states = np.zeros((len(self), dim * dim), dtype=self.states.dtype)
-        states[:, np.arange(dim) * (dim + 1)] = self.states
+        states[:, mc_labels(dim)] = self.states
         return WeightedEnsemble(weights=self.weights, states=states)
 
 
@@ -135,14 +137,14 @@ class PairEnsemble:
         return 2 if self.rows.size else int(self.basis.size > 0)
 
     def lifted(self) -> "PairEnsemble":
-        """Maximally correlated lift: label i maps to |ii>, i.e. i * (target_dim + 1)."""
-        stride = self.target_dim + 1
+        """Maximally correlated lift: label i maps to |ii>."""
+        labels = mc_labels(self.target_dim)
         return PairEnsemble(
             target_dim=self.target_dim**2,
-            rows=self.rows * stride,
-            cols=self.cols * stride,
+            rows=labels[self.rows],
+            cols=labels[self.cols],
             pair_weights=self.pair_weights,
-            basis=self.basis * stride,
+            basis=labels[self.basis],
             residual=self.residual,
         )
 
@@ -168,14 +170,14 @@ def power_pair_feasible(alpha: float, n: int) -> bool:
     return 2.0 - (1.0 + alpha) ** n >= -WEIGHT_CUTOFF
 
 
-def _pair_residual(alpha: float, n: int, cap: int | None) -> float:
+def _pair_residual(alpha: float, n: int) -> float:
     """Validate the pair-ensemble parameters; return the per-basis-state residual weight."""
     if alpha <= 0.0:
         raise ValueError(f"mixing parameter must be positive, got {alpha}")
     if n < 1:
         raise ValueError(f"copy count must be >= 1, got {n}")
     size = 2**n
-    limit = dim_cap() if cap is None else cap
+    limit = dim_cap()
     if size > limit:
         raise DimensionCapError(f"ensemble dimension {size} exceeds cap {limit}")
     if not power_pair_feasible(alpha, n):
@@ -187,14 +189,14 @@ def _keeps_basis(residual: float, size: int) -> bool:
     return residual > WEIGHT_CUTOFF / size
 
 
-def power_pair_members(alpha: float, n: int, cap: int | None = None) -> int:
+def power_pair_members(alpha: float, n: int) -> int:
     """Member count of power_pair_witness(alpha, n), without building it; raises like it."""
-    residual = _pair_residual(alpha, n, cap)
+    residual = _pair_residual(alpha, n)
     size = 2**n
     return size * (size - 1) // 2 + (size if _keeps_basis(residual, size) else 0)
 
 
-def power_pair_witness(alpha: float, n: int, cap: int | None = None) -> PairEnsemble:
+def power_pair_witness(alpha: float, n: int) -> PairEnsemble:
     """Index-array form of power_pair_ensemble: same members, order and weights.
 
     Stores the pair labels (i, j), i < j in lexicographic order, their weights
@@ -202,7 +204,7 @@ def power_pair_witness(alpha: float, n: int, cap: int | None = None) -> PairEnse
     (2 - (1+alpha)**n) / 2**n, in O(4**n) memory instead of O(8**n). Raises
     like power_pair_ensemble.
     """
-    residual = _pair_residual(alpha, n, cap)
+    residual = _pair_residual(alpha, n)
     size = 2**n
     rows, cols = np.triu_indices(size, k=1)
     hamming = np.bitwise_count(rows ^ cols)
@@ -217,7 +219,7 @@ def power_pair_witness(alpha: float, n: int, cap: int | None = None) -> PairEnse
     )
 
 
-def power_pair_ensemble(alpha: float, n: int, cap: int | None = None) -> WeightedEnsemble:
+def power_pair_ensemble(alpha: float, n: int) -> WeightedEnsemble:
     """Two-level pure ensemble reconstructing the n-fold noisy coherent power.
 
     For every unordered pair of distinct n-bitstrings {i, j}, the member
@@ -232,7 +234,7 @@ def power_pair_ensemble(alpha: float, n: int, cap: int | None = None) -> Weighte
     states ascending. The rows are dense, O(8**n) memory: this is the
     reference that tests compare power_pair_witness against.
     """
-    residual = _pair_residual(alpha, n, cap)
+    residual = _pair_residual(alpha, n)
     size = 2**n
 
     labels = np.arange(size)
@@ -267,12 +269,12 @@ def dual_flag_ensemble(d: int) -> WeightedEnsemble:
     return WeightedEnsemble(weights=weights, states=states)
 
 
-def verify_ensemble(ens: Ensemble, target, tol_recon: float = 1e-9) -> EnsembleReport:
+def verify_ensemble(ens: Ensemble, target) -> EnsembleReport:
     """Reconstruct the weighted mixture and compare against the target state.
 
     Reports the trace distance (half trace norm of the difference), the
     largest member coherence rank, and the weight sum. The ensemble is
-    feasible when the distance is within tol_recon, no weight dips below
+    feasible when the distance is within TOL_RECON, no weight dips below
     -1e-12, and the weights sum to 1 within 1e-9. Each ensemble type supplies
     its own reconstruction and member rank. A difference with no imaginary
     part is a real symmetric matrix with the same spectrum, and the real
@@ -290,7 +292,7 @@ def verify_ensemble(ens: Ensemble, target, tol_recon: float = 1e-9) -> EnsembleR
     weights = ens.weights
     weight_sum = float(weights.sum())
     feasible = (
-        distance <= tol_recon
+        distance <= TOL_RECON
         and float(weights.min()) >= -1e-12
         and abs(weight_sum - 1.0) <= 1e-9
     )

@@ -59,18 +59,18 @@ def dephase(m) -> np.ndarray:
     return np.diag(np.diag(m))
 
 
-def tensor_power(m, n: int, cap: int | None = None) -> np.ndarray:
+def tensor_power(m, n: int) -> np.ndarray:
     """n-fold Kronecker power of m.
 
     Index convention: the leftmost factor carries the most significant index,
     i.e. basis label |i_0 i_1 ... i_{n-1}> maps to integer i_0 i_1 ... i_{n-1}
-    read as a base-dim numeral. Raises DimensionCapError if dim**n exceeds the
-    cap (default taken from dim_cap()).
+    read as a base-dim numeral. Raises DimensionCapError if dim**n exceeds
+    dim_cap().
     """
     m = as_complex_matrix(m)
     if n < 1:
         raise ValueError(f"tensor power needs n >= 1, got {n}")
-    cap = dim_cap() if cap is None else cap
+    cap = dim_cap()
     if m.shape[0] ** n > cap:
         raise DimensionCapError(
             f"tensor power dimension {m.shape[0]}**{n} exceeds cap {cap}"
@@ -81,11 +81,11 @@ def tensor_power(m, n: int, cap: int | None = None) -> np.ndarray:
     return out
 
 
-def spectrum(m, tol_herm: float = TOL_HERM) -> np.ndarray:
+def spectrum(m) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending, as real floats."""
     m = as_complex_matrix(m)
     defect = hermiticity_defect(m)
-    if defect > tol_herm:
+    if defect > TOL_HERM:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     return np.linalg.eigvalsh(m)
 
@@ -124,35 +124,29 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         )
 
 
-def validate_density_matrix(
-    rho,
-    tol_herm: float = TOL_HERM,
-    tol_trace: float = TOL_TRACE,
-    tol_psd: float | None = None,
-) -> np.ndarray:
+def validate_density_matrix(rho) -> np.ndarray:
     """Check finiteness, Hermiticity, unit trace and positivity; return the coerced array."""
     rho = as_complex_matrix(rho)
     _require_finite(rho, "density matrix")
     defect = hermiticity_defect(rho)
-    if defect > tol_herm:
+    if defect > TOL_HERM:
         raise ValueError(f"density matrix is not Hermitian (defect {defect:.3e})")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > tol_trace:
+    if abs(tr - 1.0) > TOL_TRACE:
         raise ValueError(f"density matrix trace {tr} is not 1")
-    slack = psd_tol(rho) if tol_psd is None else tol_psd
     lowest = float(np.linalg.eigvalsh(rho)[0])
-    if lowest < -slack:
+    if lowest < -psd_tol(rho):
         raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
     return rho
 
 
-def validate_pure_state(psi, tol_norm: float = TOL_NORM) -> np.ndarray:
+def validate_pure_state(psi) -> np.ndarray:
     """Check finiteness and normalization of an amplitude vector; return the coerced array."""
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1 or psi.size == 0:
         raise ValueError(f"expected a nonempty amplitude vector, got shape {psi.shape}")
     _require_finite(psi, "state vector")
     norm_sq = float(np.vdot(psi, psi).real)
-    if abs(norm_sq - 1.0) > tol_norm:
+    if abs(norm_sq - 1.0) > TOL_NORM:
         raise ValueError(f"state norm^2 = {norm_sq} is not 1")
     return psi

@@ -10,6 +10,8 @@ from .kernel import as_complex_matrix, dim_cap, DimensionCapError
 
 # Amplitudes at or below this modulus count as structural zeros when ranking.
 TAU_AMP = 1e-8
+# Entries off the correlated block above this modulus reject an MC state.
+TOL_MC = 1e-9
 
 
 class NotMaximallyCorrelatedError(ValueError):
@@ -70,11 +72,11 @@ def fourier_flag_dual(d: int, j: int) -> np.ndarray:
     return amps / math.sqrt(d * (d + 1))
 
 
-def fourier_flag_mixture(d: int, cap: int | None = None) -> np.ndarray:
+def fourier_flag_mixture(d: int) -> np.ndarray:
     """Uniform mixture of the d flag states (dimension 2d)."""
     if d < 1:
         raise ValueError(f"register size must be >= 1, got {d}")
-    limit = dim_cap() if cap is None else cap
+    limit = dim_cap()
     if 2 * d > limit:
         raise DimensionCapError(f"mixture dimension {2 * d} exceeds cap {limit}")
     out = np.zeros((2 * d, 2 * d), dtype=complex)
@@ -99,10 +101,15 @@ def pair_state(i: str, j: str) -> np.ndarray:
     return amps
 
 
-def pure_coherence_rank(psi, tau_amp: float = TAU_AMP) -> int:
-    """Number of amplitudes with modulus above tau_amp."""
+def pure_coherence_rank(psi) -> int:
+    """Number of amplitudes with modulus above TAU_AMP."""
     psi = np.asarray(psi, dtype=complex)
-    return int(np.count_nonzero(np.abs(psi) > tau_amp))
+    return int(np.count_nonzero(np.abs(psi) > TAU_AMP))
+
+
+def mc_labels(d: int) -> np.ndarray:
+    """Correlated labels of a d*d system: |i> lifts to |ii>, label i * (d + 1)."""
+    return np.arange(d) * (d + 1)
 
 
 def mc_lift(rho) -> np.ndarray:
@@ -119,7 +126,7 @@ def mc_lift(rho) -> np.ndarray:
     if d * d > limit:
         raise DimensionCapError(f"lifted dimension {d}**2 exceeds cap {limit}")
     out = np.zeros((d * d, d * d), dtype=complex)
-    idx = np.arange(d) * d + np.arange(d)
+    idx = mc_labels(d)
     out[np.ix_(idx, idx)] = rho
     return out
 
@@ -129,24 +136,23 @@ def mc_lift_vector(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     d = psi.size
     out = np.zeros(d * d, dtype=complex)
-    out[np.arange(d) * d + np.arange(d)] = psi
+    out[mc_labels(d)] = psi
     return out
 
 
-def mc_unlift(rho_hat, d: int | None = None, tol_mc: float = 1e-9) -> np.ndarray:
+def mc_unlift(rho_hat) -> np.ndarray:
     """Invert mc_lift, rejecting states with weight outside the correlated block.
 
     Raises NotMaximallyCorrelatedError when any entry off the |ii><jj| block
-    has modulus above tol_mc. The input is scanned in slabs of d rows, so the
+    has modulus above TOL_MC. The input is scanned in slabs of d rows, so the
     scratch space is O(d * dim), not a copy of the input.
     """
     rho_hat = as_complex_matrix(rho_hat)
     dim = rho_hat.shape[0]
-    if d is None:
-        d = math.isqrt(dim)
+    d = math.isqrt(dim)
     if d * d != dim:
-        raise ValueError(f"dimension {dim} is not a perfect square of {d}")
-    idx = np.arange(d) * d + np.arange(d)
+        raise ValueError(f"dimension {dim} is not a perfect square")
+    idx = mc_labels(d)
     block = rho_hat[np.ix_(idx, idx)]
     # Slab i holds rows i*d .. i*d+d-1; its only block row is local row i.
     # The slab maxima go through np.max, so a NaN propagates into leak.
@@ -156,8 +162,8 @@ def mc_unlift(rho_hat, d: int | None = None, tol_mc: float = 1e-9) -> np.ndarray
         mag[i, idx] = 0.0
         peaks[i] = mag.max()
     leak = float(peaks.max()) if d else 0.0
-    if leak > tol_mc:
+    if leak > TOL_MC:
         raise NotMaximallyCorrelatedError(
-            f"off-block entry of modulus {leak:.3e} exceeds {tol_mc:.1e}"
+            f"off-block entry of modulus {leak:.3e} exceeds {TOL_MC:.1e}"
         )
     return block

@@ -17,7 +17,7 @@ def random_pure(rng, dim):
 
 
 def covariance_violation_loop(choi, din, dout):
-    """Dense oracle for choi_covariance_report: apply the channel to each of the
+    """Dense oracle for covariance_report: apply the channel to each of the
     din^2 matrix units and take the largest trace-norm mismatch between
     dephase-then-apply and apply-then-dephase."""
     worst = 0.0

@@ -33,6 +33,7 @@ from cohrank import (
     schmidt_certificate,
     spectrum,
     tensor_power,
+    validate_density_matrix,
     verify_ensemble,
 )
 from helpers import random_density, random_pure
@@ -192,6 +193,46 @@ class TestRankCertificate:
         cert = rank_certificate(diag, "rho-d", d=3)  # dims match, content does not
         assert (cert.lower, cert.upper) == (1, 1)
         assert cert.lower_method != "analytic-family"
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [("rho_d", {"d": 3}), ("rho-d", {}), ("omega-power", {"alpha": 0.2}),
+         ("omega-power", {"n": 2})],
+    )
+    def test_unknown_or_incomplete_hint_raises(self, family, params):
+        rho = fourier_flag_mixture(3)
+        with pytest.raises(ValueError, match="family"):
+            rank_certificate(rho, family, **params)
+        with pytest.raises(ValueError, match="family"):
+            schmidt_certificate(mc_lift(rho), family=family, **params)
+        with pytest.raises(ValueError, match="family"):
+            schmidt_certificate(random_density(np.random.default_rng(3), 4), (2, 2),
+                                family, **params)
+
+    def test_zero_alpha_hint_is_legal(self):
+        cert = rank_certificate(noisy_power(0.0, 2), "omega-power", alpha=0.0, n=2)
+        assert (cert.lower, cert.upper) == (1, 1)
+
+    def test_sub_threshold_amplitude_keeps_bounds_ordered(self):
+        # The eigenvectors carry ~2.5e-9 on the second level, below TAU_AMP,
+        # so their counted rank is 1 while the l1 bound is 2.
+        rho = validate_density_matrix(np.array([[0.9, 2e-9], [2e-9, 0.1]]))
+        for cert in (rank_certificate(rho), schmidt_certificate(mc_lift(rho))):
+            assert (cert.lower, cert.upper) == (2, 2)
+            assert cert.lower_method == "l1"
+            assert cert.upper_method == "eigenvector-ensemble"
+            assert cert.witness is not None
+
+    def test_lower_bound_above_dimension_rejects_input(self):
+        not_psd = np.array([[0.5, 0.6], [0.6, 0.5]])
+        swap_coherent = 0.25 * np.eye(4) + np.fliplr(np.eye(4))
+        for call in (
+            lambda: rank_certificate(not_psd),
+            lambda: schmidt_certificate(mc_lift(not_psd)),
+            lambda: schmidt_certificate(swap_coherent),
+        ):
+            with pytest.raises(ValueError, match="not a density matrix"):
+                call()
 
 
 class TestSchmidtCertificate:

@@ -4,10 +4,7 @@ import pytest
 from cohrank import (
     DioInfeasibleError,
     NotMaximallyCorrelatedError,
-    apply_channel,
     choi_apply,
-    choi_covariance_report,
-    choi_cptp_report,
     covariance_report,
     cptp_report,
     dephase,
@@ -120,7 +117,7 @@ class TestApplyChannel:
     def test_uniform_input_hits_target(self):
         rho = fourier_flag_mixture(5)
         ch = dio_synthesize(rho, 2)
-        out = apply_channel(ch, uniform_projector(2))
+        out = choi_apply(ch.choi, ch.input_dim, ch.output_dim, uniform_projector(2))
         assert np.abs(out - rho).max() < 1e-10
 
     def test_basis_input_gives_dephased_target(self):
@@ -129,7 +126,7 @@ class TestApplyChannel:
         for i in range(2):
             basis = np.zeros((2, 2), dtype=complex)
             basis[i, i] = 1.0
-            out = apply_channel(ch, basis)
+            out = choi_apply(ch.choi, ch.input_dim, ch.output_dim, basis)
             assert np.abs(out - dephase(rho)).max() < 1e-10
 
     def test_trace_preserving_on_random_inputs(self):
@@ -137,22 +134,23 @@ class TestApplyChannel:
         ch = dio_synthesize(fourier_flag_mixture(3), 2)
         for _ in range(10):
             sigma = random_density(rng, 2)
-            assert np.trace(apply_channel(ch, sigma)).real == pytest.approx(1.0)
+            out = choi_apply(ch.choi, ch.input_dim, ch.output_dim, sigma)
+            assert np.trace(out).real == pytest.approx(1.0)
 
     def test_dimension_mismatch(self):
         ch = dio_synthesize(noisy_max_coherent(0.3), 2)
         with pytest.raises(ValueError):
-            apply_channel(ch, np.eye(3) / 3)
+            choi_apply(ch.choi, ch.input_dim, ch.output_dim, np.eye(3) / 3)
 
 
 class TestChannelValidation:
     @pytest.mark.parametrize("d_reg", [1, 2, 5])
     def test_synthesized_channels_are_cptp_and_covariant(self, d_reg):
         ch = dio_synthesize(fourier_flag_mixture(d_reg), 2)
-        cptp = cptp_report(ch)
+        cptp = cptp_report(ch.choi, ch.input_dim, ch.output_dim)
         assert cptp.passed
         assert cptp.trace_out_violation <= 1e-9
-        cov = covariance_report(ch)
+        cov = covariance_report(ch.choi, ch.input_dim, ch.output_dim)
         assert cov.passed
         assert cov.max_violation <= 1e-9
         assert cov.basis_size == 4
@@ -162,8 +160,8 @@ class TestChannelValidation:
         choi = np.zeros((d * d, d * d), dtype=complex)
         for i in range(d):
             choi[i * d + i, i * d + i] = 1.0
-        assert choi_cptp_report(choi, d, d).passed
-        assert choi_covariance_report(choi, d, d).passed
+        assert cptp_report(choi, d, d).passed
+        assert covariance_report(choi, d, d).passed
 
     def test_rotation_channel_is_not_covariant(self):
         h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
@@ -173,7 +171,7 @@ class TestChannelValidation:
                 unit = np.zeros((2, 2), dtype=complex)
                 unit[i, j] = 1.0
                 choi += np.kron(unit, h @ unit @ h.conj().T)
-        report = choi_covariance_report(choi, 2, 2)
+        report = covariance_report(choi, 2, 2)
         assert not report.passed
         assert report.max_violation > 0.1
 
@@ -182,7 +180,7 @@ class TestChannelValidation:
         rng = np.random.default_rng(100 * din + dout)
         dim = din * dout
         choi = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        report = choi_covariance_report(choi, din, dout)
+        report = covariance_report(choi, din, dout)
         assert report.max_violation == covariance_violation_loop(choi, din, dout)
         assert report.basis_size == din * din
 
@@ -192,15 +190,15 @@ class TestChannelValidation:
     )
     def test_covariance_matches_loop_oracle_on_synthesized(self, target, d):
         ch = dio_synthesize(target, d)
-        expected = covariance_violation_loop(ch.choi, ch.input_dim, ch.output_dim)
-        assert covariance_report(ch).max_violation == expected
+        args = (ch.choi, ch.input_dim, ch.output_dim)
+        assert covariance_report(*args).max_violation == covariance_violation_loop(*args)
 
     def test_covariance_rejects_mismatched_dims(self):
         with pytest.raises(ValueError, match="Choi dimension"):
-            choi_covariance_report(np.eye(6), 2, 2)
+            covariance_report(np.eye(6), 2, 2)
 
     def test_non_trace_preserving_choi_flagged(self):
-        report = choi_cptp_report(2 * np.eye(4), 2, 2)
+        report = cptp_report(2 * np.eye(4), 2, 2)
         assert not report.passed
 
 

@@ -96,9 +96,7 @@ class TestDualFlagEnsemble:
 
     @pytest.mark.parametrize("d", [1, 2, 5, 8, 16])
     def test_reconstruction(self, d):
-        report = verify_ensemble(
-            dual_flag_ensemble(d), fourier_flag_mixture(d), tol_recon=1e-10
-        )
+        report = verify_ensemble(dual_flag_ensemble(d), fourier_flag_mixture(d))
         assert report.feasible
         assert report.reconstruction_trace_distance <= 1e-10
         assert report.max_member_rank == d + 1

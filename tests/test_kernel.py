@@ -59,10 +59,11 @@ class TestTensorPower:
         split = np.kron(tensor_power(m, 2), tensor_power(m, 1))
         assert np.abs(combined - split).max() < 1e-12
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
+        monkeypatch.setenv("COHRANK_DIM_CAP", "16")
         with pytest.raises(DimensionCapError):
-            tensor_power(np.eye(2), 5, cap=16)
-        assert tensor_power(np.eye(2), 4, cap=16).shape == (16, 16)
+            tensor_power(np.eye(2), 5)
+        assert tensor_power(np.eye(2), 4).shape == (16, 16)
 
     def test_env_var_overrides_cap(self, monkeypatch):
         monkeypatch.setenv("COHRANK_DIM_CAP", "8")
