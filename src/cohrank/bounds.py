@@ -15,7 +15,13 @@ from .decompositions import (
     power_pair_witness,
     verify_ensemble,
 )
-from .kernel import as_complex_matrix, partial_transpose, tensor_power, trace_norm
+from .kernel import (
+    _require_finite,
+    as_complex_matrix,
+    partial_transpose,
+    tensor_power,
+    trace_norm,
+)
 from .states import TAU_AMP, NotMaximallyCorrelatedError, mc_unlift, noisy_max_coherent
 
 # ceil(x - CEIL_GUARD) keeps float noise from inflating an exactly-integer bound;
@@ -64,6 +70,7 @@ def delta_robustness(rho) -> float:
     coherence rank on pure states.
     """
     rho = as_complex_matrix(rho)
+    _require_finite(rho, "matrix")
     diag = np.diag(rho).real
     support = np.flatnonzero(diag > DIAG_SUPPORT_TOL)
     if support.size == 0:
@@ -74,9 +81,9 @@ def delta_robustness(rho) -> float:
     return float(np.linalg.eigvalsh(balanced)[-1])
 
 
-def dilution_dimension(rho) -> int:
-    """Smallest integer d with d * dephase(rho) - rho positive semidefinite."""
-    return max(1, math.ceil(delta_robustness(rho) - CEIL_GUARD))
+def dilution_dimension(robustness: float) -> int:
+    """Smallest d >= 1 with d * dephase(rho) - rho PSD, given delta_robustness(rho)."""
+    return max(1, math.ceil(robustness - CEIL_GUARD))
 
 
 def pure_schmidt_rank(psi, dim_a: int, dim_b: int) -> int:

@@ -70,41 +70,41 @@ class CovarianceReport:
     passed: bool
 
 
-def _slack(m: np.ndarray, tol_psd: float | None) -> float:
-    """PSD slack for m: tol_psd when given (finite, >= 0), else the scale-aware default."""
-    if tol_psd is None:
-        return psd_tol(m)
-    if not 0.0 <= tol_psd < math.inf:
-        raise ValueError(f"PSD tolerance must be finite and >= 0, got {tol_psd}")
-    return tol_psd
-
-
 def dio_feasible(rho, d: int, tol_psd: float | None = None) -> bool:
     """Whether the uniform d-level superposition reaches rho dephasing-covariantly.
 
-    True iff d * dephase(rho) - rho is positive semidefinite (up to the
-    scale-aware slack), equivalently iff d is at least the dephasing
-    robustness of rho.
+    True iff d * dephase(rho) - rho is positive semidefinite up to a slack:
+    tol_psd when given (finite, >= 0), else the scale-aware psd_tol of the
+    gap. Equivalently, d is at least the dephasing robustness of rho. This
+    is the one place DIO feasibility is decided; dio_synthesize asks it.
     """
     rho = as_complex_matrix(rho)
     if d < 1:
         raise ValueError(f"input dimension must be >= 1, got {d}")
+    if tol_psd is not None and not 0.0 <= tol_psd < math.inf:
+        raise ValueError(f"PSD tolerance must be finite and >= 0, got {tol_psd}")
     gap = d * dephase(rho) - rho
-    return float(spectrum(gap)[0]) >= -_slack(gap, tol_psd)
+    slack = psd_tol(gap) if tol_psd is None else tol_psd
+    return float(spectrum(gap)[0]) >= -slack
 
 
 def dio_synthesize(rho, d: int, tol_psd: float | None = None) -> DioChannel:
     """Build the channel mapping the uniform d-level superposition onto rho.
 
-    Raises DioInfeasibleError when the complementary component
-    (d * dephase(rho) - rho) / (d - 1) has a genuinely negative eigenvalue,
-    i.e. when d is below the dephasing robustness of the target, and
-    DimensionCapError before building anything when the d * dim(rho) Choi
-    side exceeds dim_cap().
+    Raises DioInfeasibleError when dio_feasible(rho, d, tol_psd) is False:
+    the complementary component (d * dephase(rho) - rho) / (d - 1) is then
+    not positive semidefinite. Only a feasible request is checked against
+    the cap: DimensionCapError, before the Choi matrix is built, when the
+    d * dim(rho) Choi side exceeds dim_cap().
     """
     rho = as_complex_matrix(rho)
     if d < 2:
         raise ValueError(f"synthesis needs input dimension >= 2, got {d}")
+    if not dio_feasible(rho, d, tol_psd):
+        raise DioInfeasibleError(
+            f"d * dephase(rho) - rho is not positive semidefinite; "
+            f"the target needs a larger input dimension than {d}"
+        )
     limit = dim_cap()
     if d * rho.shape[0] > limit:
         raise DimensionCapError(
@@ -114,12 +114,6 @@ def dio_synthesize(rho, d: int, tol_psd: float | None = None) -> DioChannel:
     off_part = rho - diag_part
     comp_a = rho
     comp_b = diag_part - off_part / (d - 1)
-    lowest = float(spectrum(comp_b)[0])
-    if lowest < -_slack(comp_b, tol_psd):
-        raise DioInfeasibleError(
-            f"complementary component has eigenvalue {lowest:.3e}; "
-            f"the target needs a larger input dimension than {d}"
-        )
     phi = max_coherent(d)
     proj = np.outer(phi, phi.conj())
     choi = np.kron(proj, comp_a) + np.kron(np.eye(d) - proj, comp_b)

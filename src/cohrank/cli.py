@@ -15,13 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import cost_report, delta_robustness, dilution_dimension
-from .channels import (
-    DioInfeasibleError,
-    cptp_report,
-    covariance_report,
-    dio_feasible,
-    dio_synthesize,
-)
+from .channels import DioInfeasibleError, cptp_report, covariance_report, dio_synthesize
 from .decompositions import (
     InfeasiblePairEnsembleError,
     dual_flag_ensemble,
@@ -144,13 +138,14 @@ def cmd_dio(args: argparse.Namespace) -> int:
         "d": args.d,
         "target_dim": rho.shape[0],
         "delta_robustness": robustness,
-        "dilution_dimension": dilution_dimension(rho),
+        "dilution_dimension": dilution_dimension(robustness),
     }
-    if not dio_feasible(rho, args.d, tol_psd=args.tol_psd):
+    try:
+        ch = dio_synthesize(rho, args.d, tol_psd=args.tol_psd)
+    except DioInfeasibleError:
         doc["feasible"] = False
         _emit_json(doc, args.out)
         return 2
-    ch = dio_synthesize(rho, args.d, tol_psd=args.tol_psd)
     doc["feasible"] = True
     doc["channel"] = channel_to_json(ch)
     doc["cptp"] = asdict(cptp_report(ch.choi, ch.input_dim, ch.output_dim))
@@ -238,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code == 0 else 3
     try:
         return args.func(args)
-    except (InfeasiblePairEnsembleError, DioInfeasibleError) as exc:
+    except InfeasiblePairEnsembleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:

@@ -82,8 +82,9 @@ def tensor_power(m, n: int) -> np.ndarray:
 
 
 def spectrum(m) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending, as real floats."""
+    """All eigenvalues of a finite Hermitian matrix, ascending, as real floats."""
     m = as_complex_matrix(m)
+    _require_finite(m, "matrix")
     defect = hermiticity_defect(m)
     if defect > TOL_HERM:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")

@@ -133,17 +133,17 @@ class TestDeltaRobustness:
             assert slack < -1e-6
 
     def test_dilution_dimension_rounds_up(self):
-        assert dilution_dimension(noisy_max_coherent(0.3)) == 2
-        assert dilution_dimension(np.diag([0.5, 0.5])) == 1
+        assert dilution_dimension(delta_robustness(noisy_max_coherent(0.3))) == 2
+        assert dilution_dimension(delta_robustness(np.diag([0.5, 0.5]))) == 1
         phi = max_coherent(5)
-        assert dilution_dimension(np.outer(phi, phi.conj())) == 5
+        assert dilution_dimension(delta_robustness(np.outer(phi, phi.conj()))) == 5
 
     @pytest.mark.parametrize("d", [1, 3, 8])
     def test_flag_mixtures_sit_exactly_at_two(self, d):
         assert delta_robustness(fourier_flag_mixture(d)) == pytest.approx(
             2.0, abs=1e-10
         )
-        assert dilution_dimension(fourier_flag_mixture(d)) == 2
+        assert dilution_dimension(delta_robustness(fourier_flag_mixture(d))) == 2
 
 
 class TestRankCertificate:

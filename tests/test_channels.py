@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from cohrank import (
+    DimensionCapError,
     DioInfeasibleError,
     NotMaximallyCorrelatedError,
     choi_apply,
     covariance_report,
     cptp_report,
+    delta_robustness,
     dephase,
     dio_feasible,
     dio_synthesize,
@@ -22,7 +24,12 @@ from cohrank import (
     sign_flip_check,
     spectrum,
 )
-from helpers import covariance_violation_loop, random_density, random_pure
+from helpers import (
+    covariance_violation_loop,
+    dio_boundary_cases,
+    random_density,
+    random_pure,
+)
 
 
 def uniform_projector(d):
@@ -46,6 +53,22 @@ class TestDioFeasible:
     def test_trivial_input_requires_diagonal_target(self):
         assert dio_feasible(np.diag([0.2, 0.8]), 1)
         assert not dio_feasible(noisy_max_coherent(0.5), 1)
+
+    def test_synthesis_succeeds_exactly_when_feasible(self):
+        above = []
+        for label, rho, d, feasible in dio_boundary_cases():
+            assert dio_feasible(rho, d) == feasible, (label, d)
+            try:
+                dio_synthesize(rho, d)
+                built = True
+            except DioInfeasibleError:
+                built = False
+            assert built == feasible, (label, d)
+            if feasible and delta_robustness(rho) > d:
+                above.append(label)
+        # robustness a few ulps above d on feasible targets: the decision is
+        # the gap test with its slack, not delta_robustness(rho) <= d
+        assert above
 
 
 class TestDioSynthesize:
@@ -111,6 +134,40 @@ class TestDioSynthesize:
     def test_rejects_trivial_input_dimension(self):
         with pytest.raises(ValueError):
             dio_synthesize(np.diag([0.5, 0.5]), 1)
+
+    def test_infeasible_over_cap_is_infeasible(self, monkeypatch):
+        # feasibility is decided before the cap: the Choi sides 3 x 4 and
+        # 4 x 4 both exceed a cap of 8
+        monkeypatch.setenv("COHRANK_DIM_CAP", "8")
+        with pytest.raises(DioInfeasibleError):
+            dio_synthesize(uniform_projector(4), 3)
+        with pytest.raises(DimensionCapError, match="exceeds cap"):
+            dio_synthesize(uniform_projector(4), 4)
+
+
+class TestNonFiniteInput:
+    # inf - inf in the gap d * dephase(rho) - rho makes numpy warn before
+    # spectrum rejects the result
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda m: dio_feasible(m, 2),
+            lambda m: dio_synthesize(m, 2),
+            lambda m: cptp_report(m, 1, 2),
+            delta_robustness,
+            spectrum,
+        ],
+        ids=["dio_feasible", "dio_synthesize", "cptp_report", "delta_robustness", "spectrum"],
+    )
+    def test_rejected_with_value_error(self, check, bad):
+        m = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            check(m)
+        with pytest.raises(ValueError, match="non-finite"):
+            check(np.full((2, 2), bad))
 
 
 class TestApplyChannel:

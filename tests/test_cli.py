@@ -15,7 +15,7 @@ from cohrank.serialize import (
     vector_from_json,
     vector_to_json,
 )
-from helpers import random_density
+from helpers import dio_boundary_cases, random_density
 
 
 def run(args, capsys):
@@ -248,6 +248,9 @@ class TestDecompose:
         assert json.loads(out)["feasible"] is False
 
 
+DIO_BOUNDARY = dio_boundary_cases()
+
+
 class TestDio:
     def write_state(self, tmp_path, matrix):
         path = tmp_path / "state.json"
@@ -322,6 +325,63 @@ class TestDio:
         bad = tmp_path / "bad.json"
         bad.write_text("not json")
         assert main(["dio", "--state", str(bad), "--d", "2"]) == 3
+
+    def test_infinite_state_exits_3(self, tmp_path, capsys):
+        state = self.write_state(tmp_path, np.diag([np.inf, 0.0]))
+        assert main(["dio", "--state", state, "--d", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
+    @pytest.mark.parametrize(
+        "label,target,d,feasible",
+        DIO_BOUNDARY,
+        ids=[f"{label}-d{d}" for label, _, d, _ in DIO_BOUNDARY],
+    )
+    def test_boundary_targets(self, label, target, d, feasible, tmp_path, capsys):
+        state = self.write_state(tmp_path, target)
+        code, out = run(["dio", "--state", state, "--d", str(d)], capsys)
+        doc = json.loads(out)
+        assert doc["feasible"] is feasible
+        if feasible:
+            assert code == 0 and doc["dilution_dimension"] <= d
+        else:
+            assert code == 2 and doc["dilution_dimension"] == d + 1
+
+    def test_infeasible_over_cap_keeps_its_document(self, tmp_path, monkeypatch, capsys):
+        phi = max_coherent(4)
+        state = self.write_state(tmp_path, np.outer(phi, phi.conj()))
+        monkeypatch.setenv("COHRANK_DIM_CAP", "8")  # the Choi side 3 x 4 is over it
+        code, out = run(["dio", "--state", state, "--d", "3"], capsys)
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["feasible"] is False and doc["dilution_dimension"] == 4
+
+    @pytest.mark.parametrize(
+        "target,d,calls",
+        [
+            # validation, robustness, feasibility, Choi spectrum in cptp_report
+            (fourier_flag_mixture(4), 2, 4),
+            # validation, robustness, feasibility
+            (np.outer(max_coherent(4), max_coherent(4).conj()), 3, 3),
+        ],
+        ids=["feasible", "infeasible"],
+    )
+    def test_eigensolve_count(self, target, d, calls, tmp_path, monkeypatch, capsys):
+        # one eigensolve per question: a repeated robustness or feasibility
+        # eigensolve shows up here
+        state = self.write_state(tmp_path, target)
+        count = 0
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(m):
+            nonlocal count
+            count += 1
+            return eigvalsh(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        main(["dio", "--state", state, "--d", str(d)])
+        assert count == calls
 
 
 class TestCost:

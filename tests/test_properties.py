@@ -1,15 +1,19 @@
 """Property tests: the index-array pair witness against the dense oracle, the
-feasibility boundary alpha = 2**(1/n) - 1, and the maximally correlated Schmidt
-certificate against the partial-transpose negativity bound."""
+feasibility boundary alpha = 2**(1/n) - 1, the maximally correlated Schmidt
+certificate against the partial-transpose negativity bound, and the DIO
+feasibility test against the dephasing robustness."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cohrank import (
     InfeasiblePairEnsembleError,
+    delta_robustness,
+    dilution_dimension,
+    dio_feasible,
     mc_lift,
     negativity_rank_lower_bound,
     noisy_max_coherent,
@@ -98,9 +102,9 @@ def test_feasibility_tests_total_missing_mass(excess, feasible):
 
 
 @st.composite
-def densities(draw):
-    """Density matrix of dimension 1..6 and rank 1..dim from a seeded Gaussian factor."""
-    dim = draw(st.integers(1, 6))
+def densities(draw, max_dim=6):
+    """Density matrix of dimension 1..max_dim and rank 1..dim from a seeded Gaussian factor."""
+    dim = draw(st.integers(1, max_dim))
     rank = draw(st.integers(1, dim))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
@@ -123,3 +127,13 @@ def test_correlated_schmidt_certificate_matches_negativity_oracle(rho):
         base.lower_method,
         base.upper_method,
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(densities(max_dim=8), st.integers(1, 9))
+def test_dio_feasibility_matches_dilution_dimension(rho, d):
+    """Away from the boundary, the gap test d * dephase(rho) - rho >= 0 and the
+    robustness eigensolve that dio prints agree on feasibility."""
+    robustness = delta_robustness(rho)
+    assume(abs(robustness - d) > 1e-6)
+    assert dio_feasible(rho, d) == (d >= dilution_dimension(robustness))
