@@ -14,15 +14,16 @@ from .decompositions import (
     power_pair_feasible,
     power_pair_witness,
     verify_ensemble,
+    verify_orbit,
 )
 from .kernel import (
     _require_finite,
     as_complex_matrix,
     partial_transpose,
-    tensor_power,
     trace_norm,
+    walsh_hadamard,
 )
-from .states import TAU_AMP, NotMaximallyCorrelatedError, mc_unlift, noisy_max_coherent
+from .states import TAU_AMP, NotMaximallyCorrelatedError, mc_unlift, noisy_power_row
 
 # ceil(x - CEIL_GUARD) keeps float noise from inflating an exactly-integer bound;
 # floor(x + CEIL_GUARD) is the matching guard in the other direction.
@@ -139,6 +140,20 @@ def _check_family(family: str | None, **params) -> None:
         raise ValueError(f"family {family!r} needs {', '.join(missing)}")
 
 
+def _lower_bound(offdiag: float, analytic: int | None = None) -> tuple[int, str]:
+    """Best of the analytic family floor, the l1 bound and the nondiagonality floor 2.
+
+    Among equal bounds the first listed wins.
+    """
+    candidates: list[tuple[int, str]] = []
+    if analytic is not None:
+        candidates.append((analytic, "analytic-family"))
+    candidates.append((_l1_bound(offdiag), "l1"))
+    if offdiag > NONDIAG_TOL:
+        candidates.append((2, "nondiagonality"))
+    return max(candidates, key=lambda c: c[0])
+
+
 def _settled(cert: RankCertificate, max_rank: int) -> RankCertificate:
     """Keep lower <= upper <= max_rank, the largest rank any state here has.
 
@@ -171,11 +186,12 @@ def rank_certificate(
     ensemble, which is generally loose, so exactness is only claimed when both
     bounds meet. A hint whose witness fails to verify is dropped entirely,
     which keeps lower <= upper even for mislabeled inputs. Unknown or
-    incomplete hints and non-states whose lower bound exceeds the dimension
-    raise ValueError.
+    incomplete hints, non-finite entries and non-states whose lower bound
+    exceeds the dimension raise ValueError.
     """
     _check_family(family, alpha=alpha, n=n, d=d)
     rho = as_complex_matrix(rho)
+    _require_finite(rho, "matrix")
     offdiag = l1_coherence(rho)
 
     ens: Ensemble | None = None
@@ -191,14 +207,8 @@ def rank_certificate(
         if report.feasible:
             witness, upper, upper_method = ens, report.max_member_rank, "ensemble-witness"
 
-    candidates: list[tuple[int, str]] = []
-    if family == "rho-d" and witness is not None:
-        candidates.append((d + 1, "analytic-family"))
-    candidates.append((_l1_bound(offdiag), "l1"))
-    if offdiag > NONDIAG_TOL:
-        candidates.append((2, "nondiagonality"))
-    # max keeps the first candidate among equal bounds.
-    lower, lower_method = max(candidates, key=lambda c: c[0])
+    analytic = d + 1 if family == "rho-d" and witness is not None else None
+    lower, lower_method = _lower_bound(offdiag, analytic)
 
     if witness is None:
         if offdiag <= NONDIAG_TOL:
@@ -262,6 +272,7 @@ def schmidt_certificate(
             cert.lower, cert.upper, cert.lower_method, cert.upper_method, witness
         )
 
+    _require_finite(rho_hat, "matrix")
     upper, upper_method, witness = _eigenvector_ensemble(
         rho_hat,
         lambda ens: max((pure_schmidt_rank(v, dim_a, dim_b) for v in ens.states), default=1),
@@ -269,6 +280,41 @@ def schmidt_certificate(
     neg_lower = negativity_rank_lower_bound(rho_hat, dim_a, dim_b)
     cert = RankCertificate(neg_lower, upper, "negativity", upper_method, witness)
     return _settled(cert, min(dim_a, dim_b))
+
+
+def omega_power_certificate(alpha: float, n: int) -> tuple[RankCertificate, int]:
+    """Certify the coherence rank of omega(alpha)^(x)n, 0 < alpha <= 1, with no dense matrix.
+
+    Returns the certificate and the l1 bound by itself. The n-fold power is
+    M[i, j] = row[i ^ j] (states.noisy_power_row), so its l1 mass is
+    2**n * sum_{k != 0} row[k] and its eigenvalues are the Walsh-Hadamard
+    transform of the row. The upper bound is the orbit witness checked by
+    verify_orbit when it is feasible; otherwise the eigenvector ensemble,
+    whose members are the Hadamard rows, each of coherence rank 2**n, so the
+    bound is the dimension and no member is materialized ("pure-rank" when
+    exactly one eigenvalue exceeds EIG_CUTOFF). These are the bounds and tags
+    rank_certificate gives on the dense power. Time and memory are
+    O(n 2**n) and O(2**n); DimensionCapError when 2**n exceeds dim_cap()**2.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"mixing parameter must lie in (0, 1], got {alpha}")
+    target = noisy_power_row(alpha, n)
+    size = target.size
+    # Total mass minus the trace, the order l1_coherence sums in: at
+    # alpha = 1e-9, n = 1 the mass sits on NONDIAG_TOL and rounding decides.
+    offdiag = size * float(target.sum()) - size * float(target[0])
+    witness, upper, upper_method = None, size, None
+    if power_pair_feasible(alpha, n):
+        orbit = power_pair_witness(alpha, n)
+        report = verify_orbit(orbit, target)
+        if report.feasible:
+            witness, upper, upper_method = orbit, report.max_member_rank, "ensemble-witness"
+    if witness is None:
+        above = int(np.count_nonzero(walsh_hadamard(target) > EIG_CUTOFF))
+        upper_method = "pure-rank" if above == 1 else "eigenvector-ensemble"
+    lower, lower_method = _lower_bound(offdiag)
+    cert = RankCertificate(lower, upper, lower_method, upper_method, witness)
+    return _settled(cert, size), _l1_bound(offdiag)
 
 
 def regularized_cost_bounds(alpha: float) -> tuple[float, float]:
@@ -340,7 +386,11 @@ class CostReport:
 
 
 def cost_report(alpha: float, n: int = 1) -> CostReport:
-    """Assemble the zero-error / regularized / asymptotic cost chain."""
+    """Assemble the zero-error / regularized / asymptotic cost chain.
+
+    The rank comes from omega_power_certificate, so no 2**n x 2**n matrix is
+    formed and n is bounded by 2**n <= dim_cap()**2.
+    """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {alpha}")
     if n < 1:
@@ -348,8 +398,7 @@ def cost_report(alpha: float, n: int = 1) -> CostReport:
     if alpha == 0.0:
         return CostReport(alpha, n, 0.0, 0.0, 0.0, 0.0, l1_lower=1, certified_rank=1)
 
-    rho = tensor_power(noisy_max_coherent(alpha), n)
-    cert = rank_certificate(rho, "omega-power", alpha=alpha, n=n)
+    cert, l1_lower = omega_power_certificate(alpha, n)
     certified = cert.upper if cert.exact else None
     if certified is not None:
         zero_error: float | tuple[float, float] = math.log2(certified) / n
@@ -358,7 +407,7 @@ def cost_report(alpha: float, n: int = 1) -> CostReport:
     reg_lower, reg_upper = regularized_cost_bounds(alpha)
     rep = CostReport(
         alpha, n, zero_error, reg_lower, reg_upper, asymptotic_entanglement_cost(alpha),
-        l1_rank_lower_bound(rho), certified,
+        l1_lower, certified,
     )
 
     chain = (rep.asymptotic_ec, reg_lower, reg_upper, rep.zero_error_upper)

@@ -9,6 +9,7 @@ import numpy as np
 
 from .kernel import (
     DimensionCapError,
+    _require_finite,
     as_complex_matrix,
     dephase,
     dim_cap,
@@ -76,9 +77,11 @@ def dio_feasible(rho, d: int, tol_psd: float | None = None) -> bool:
     True iff d * dephase(rho) - rho is positive semidefinite up to a slack:
     tol_psd when given (finite, >= 0), else the scale-aware psd_tol of the
     gap. Equivalently, d is at least the dephasing robustness of rho. This
-    is the one place DIO feasibility is decided; dio_synthesize asks it.
+    is the one place DIO feasibility is decided; dio_synthesize asks it. A
+    non-finite target raises ValueError before the gap is formed.
     """
     rho = as_complex_matrix(rho)
+    _require_finite(rho, "target")
     if d < 1:
         raise ValueError(f"input dimension must be >= 1, got {d}")
     if tol_psd is not None and not 0.0 <= tol_psd < math.inf:

@@ -33,6 +33,18 @@ def dim_cap() -> int:
     return int(raw) if raw else DEFAULT_DIM_CAP
 
 
+def require_amplitude_budget(n: int, what: str) -> None:
+    """Raise DimensionCapError when a length-2**n vector exceeds dim_cap()**2.
+
+    Structured paths that store O(2**n) numbers instead of a dense
+    2**n x 2**n matrix are bounded by this amplitude budget; the comparison
+    is on bit lengths, so a huge n costs nothing to refuse.
+    """
+    limit = dim_cap()
+    if n >= (limit * limit).bit_length():
+        raise DimensionCapError(f"{what} dimension 2**{n} exceeds cap {limit}**2")
+
+
 def as_complex_matrix(m) -> np.ndarray:
     """Coerce input to a square complex128 matrix (no copy when already one)."""
     out = np.asarray(m, dtype=complex)
@@ -89,6 +101,27 @@ def spectrum(m) -> np.ndarray:
     if defect > TOL_HERM:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     return np.linalg.eigvalsh(m)
+
+
+def walsh_hadamard(f) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a real vector of length 2**n.
+
+    Entry s is sum_k f[k] (-1)**popcount(s & k), in n butterfly passes over
+    one copy. It is the spectrum of the matrix M[i, j] = f[i ^ j]: every such
+    matrix has the Hadamard rows as eigenvectors.
+    """
+    out = np.array(f, dtype=float)
+    if out.ndim != 1 or out.size & (out.size - 1):
+        raise ValueError(f"expected a vector of length 2**n, got shape {out.shape}")
+    half = 1
+    while half < out.size:
+        pairs = out.reshape(-1, 2, half)
+        top, bottom = pairs[:, 0], pairs[:, 1]
+        total = top + bottom
+        np.subtract(top, bottom, out=bottom)
+        top[...] = total
+        half *= 2
+    return out
 
 
 def partial_transpose(m, dim_a: int, dim_b: int) -> np.ndarray:

@@ -6,7 +6,13 @@ import math
 
 import numpy as np
 
-from .kernel import as_complex_matrix, dim_cap, DimensionCapError
+from .kernel import (
+    DimensionCapError,
+    _require_finite,
+    as_complex_matrix,
+    dim_cap,
+    require_amplitude_budget,
+)
 
 # Amplitudes at or below this modulus count as structural zeros when ranking.
 TAU_AMP = 1e-8
@@ -34,6 +40,26 @@ def noisy_max_coherent(alpha: float) -> np.ndarray:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {alpha}")
     return np.array([[0.5, alpha / 2.0], [alpha / 2.0, 0.5]], dtype=complex)
+
+
+def noisy_power_row(alpha: float, n: int) -> np.ndarray:
+    """XOR row of the n-fold power of noisy_max_coherent(alpha).
+
+    The power has <i|rho|j> = row[i ^ j] with row[k] = alpha**popcount(k) / 2**n,
+    built as the Kronecker power of (1/2, alpha/2), so the 2**n entries
+    determine all 4**n. Raises DimensionCapError when 2**n exceeds
+    dim_cap()**2.
+    """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"mixing parameter must lie in [0, 1], got {alpha}")
+    if n < 1:
+        raise ValueError(f"copy count must be >= 1, got {n}")
+    require_amplitude_budget(n, "noisy power")
+    factor = np.array([0.5, alpha / 2.0])
+    row = factor
+    for _ in range(n - 1):
+        row = np.kron(row, factor)
+    return row
 
 
 def fourier_flag_state(d: int, k: int) -> np.ndarray:
@@ -144,7 +170,8 @@ def mc_unlift(rho_hat) -> np.ndarray:
     """Invert mc_lift, rejecting states with weight outside the correlated block.
 
     Raises NotMaximallyCorrelatedError when any entry off the |ii><jj| block
-    has modulus above TOL_MC. The input is scanned in slabs of d rows, so the
+    has modulus above TOL_MC (an infinite one included), and ValueError when
+    one is NaN, which no threshold test would catch. The input is scanned in slabs of d rows, so the
     scratch space is O(d * dim), not a copy of the input.
     """
     rho_hat = as_complex_matrix(rho_hat)
@@ -162,6 +189,8 @@ def mc_unlift(rho_hat) -> np.ndarray:
         mag[i, idx] = 0.0
         peaks[i] = mag.max()
     leak = float(peaks.max()) if d else 0.0
+    if math.isnan(leak):
+        _require_finite(rho_hat, "matrix")  # raises, naming the first NaN
     if leak > TOL_MC:
         raise NotMaximallyCorrelatedError(
             f"off-block entry of modulus {leak:.3e} exceeds {TOL_MC:.1e}"

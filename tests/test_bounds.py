@@ -1,11 +1,14 @@
+import importlib
 import math
+import pkgutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import cohrank
 from cohrank import (
-    PairEnsemble,
+    OrbitWitness,
     asymptotic_entanglement_cost,
     binary_entropy,
     bounds,
@@ -25,6 +28,7 @@ from cohrank import (
     negativity,
     negativity_rank_lower_bound,
     noisy_max_coherent,
+    omega_power_certificate,
     power_pair_ensemble,
     pure_coherence_rank,
     pure_schmidt_rank,
@@ -153,7 +157,7 @@ class TestRankCertificate:
         assert (cert.lower, cert.upper) == (2, 2)
         assert cert.exact
         assert cert.upper_method == "ensemble-witness"
-        assert isinstance(cert.witness, PairEnsemble)
+        assert isinstance(cert.witness, OrbitWitness)
         report = verify_ensemble(cert.witness, rho)
         assert report.feasible and report.max_member_rank == cert.upper
 
@@ -223,6 +227,15 @@ class TestRankCertificate:
             assert cert.upper_method == "eigenvector-ensemble"
             assert cert.witness is not None
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_rejected_by_name(self, bad):
+        rho = noisy_max_coherent(0.3)
+        rho[1, 0] = bad
+        with pytest.raises(ValueError, match=r"non-finite.*index \(1, 0\)"):
+            rank_certificate(rho)
+        with pytest.raises(ValueError, match=r"non-finite.*index \(0, 0\)"):
+            rank_certificate(np.full((2, 2), bad))
+
     def test_lower_bound_above_dimension_rejects_input(self):
         not_psd = np.array([[0.5, 0.6], [0.6, 0.5]])
         swap_coherent = 0.25 * np.eye(4) + np.fliplr(np.eye(4))
@@ -249,7 +262,7 @@ class TestSchmidtCertificate:
         lifted = mc_lift(noisy_power(alpha, n))
         cert = schmidt_certificate(lifted, family="omega-power", alpha=alpha, n=n)
         assert (cert.lower, cert.upper) == (2, 2)
-        assert isinstance(cert.witness, PairEnsemble)
+        assert isinstance(cert.witness, OrbitWitness)
         report = verify_ensemble(cert.witness, lifted)
         assert report.feasible and report.max_member_rank == 2
         dense = power_pair_ensemble(alpha, n).lifted()
@@ -278,6 +291,37 @@ class TestSchmidtCertificate:
             tracemalloc.stop()
         assert (cert.lower, cert.upper) == (25, 25)
         assert peak < lifted.nbytes / 8
+
+    def test_nan_off_the_correlated_block_is_rejected(self):
+        # the leak is NaN and NaN > TOL_MC is False: this used to certify (2, 2)
+        lifted = mc_lift(noisy_max_coherent(0.3))
+        lifted[1, 2] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite.*index \(1, 2\)"):
+            schmidt_certificate(lifted)
+
+    def test_non_finite_base_is_rejected(self):
+        lifted = mc_lift(noisy_max_coherent(0.3))
+        lifted[0, 3] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite.*index \(0, 1\)"):
+            schmidt_certificate(lifted)
+
+    @pytest.mark.parametrize(
+        "rho_hat,dims,index",
+        [
+            (np.full((6, 6), np.nan), (2, 3), (0, 0)),
+            (np.where(np.eye(4) > 0, np.inf, 0.25), (2, 2), (0, 0)),
+        ],
+        ids=["unequal-sides", "infinite-leak"],
+    )
+    def test_non_finite_uncorrelated_state_is_rejected_before_eigh(
+        self, rho_hat, dims, index, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh reached with a non-finite matrix")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        with pytest.raises(ValueError, match=rf"non-finite.*index \({index[0]}, {index[1]}\)"):
+            schmidt_certificate(rho_hat, dims)
 
     def test_pure_schmidt_rank(self):
         assert pure_schmidt_rank(mc_lift_vector(max_coherent(2)), 2, 2) == 2
@@ -328,6 +372,69 @@ class TestEntanglementCost:
     def test_range_error(self):
         with pytest.raises(ValueError):
             asymptotic_entanglement_cost(1.5)
+
+
+def _refuse_dense(monkeypatch):
+    """Make tensor_power (in every cohrank module that holds it) and the dense
+    eigensolvers raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix algebra on the structured path")
+
+    modules = [cohrank] + [
+        importlib.import_module(f"cohrank.{info.name}")
+        for info in pkgutil.iter_modules(cohrank.__path__)
+    ]
+    for module in modules:
+        if hasattr(module, "tensor_power"):
+            monkeypatch.setattr(module, "tensor_power", refuse)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
+class TestOmegaPowerCertificate:
+    @pytest.mark.parametrize("n", [2, 6, 11, 12, 16])
+    @pytest.mark.parametrize("side", [0.9, 1.5])
+    def test_cost_forms_no_dense_matrix(self, n, side, monkeypatch):
+        _refuse_dense(monkeypatch)
+        alpha = side * (2 ** (1 / n) - 1)
+        rep = cost_report(alpha, n)
+        assert (rep.certified_rank == 2) == (side < 1)
+
+    def test_nonadd_forms_no_dense_matrix(self, monkeypatch, capsys):
+        from cohrank.cli import main
+
+        _refuse_dense(monkeypatch)
+        assert main(["nonadd", "--alpha-min", "0.01", "--alpha-max", "0.3",
+                     "--steps", "3", "--n-max", "16"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * 16
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_infeasible_cost_reports_the_l1_bracket(self, n, monkeypatch):
+        _refuse_dense(monkeypatch)
+        alpha = 1.5 * (2 ** (1 / n) - 1)
+        rep = cost_report(alpha, n)
+        l1 = math.ceil((1 + alpha) ** n - 1e-9)
+        assert rep.l1_lower == l1 >= 3
+        assert rep.certified_rank is None
+        assert rep.zero_error == (math.log2(l1) / n, 1.0)
+
+    def test_witness_and_tags(self):
+        cert, l1_lower = omega_power_certificate(0.1, 5)
+        assert isinstance(cert.witness, OrbitWitness) and cert.exact
+        assert (cert.lower_method, cert.upper_method, l1_lower) == (
+            "l1", "ensemble-witness", 2
+        )
+        cert, _ = omega_power_certificate(1.0, 3)  # the pure power |+><+|^(x)3
+        assert (cert.lower, cert.upper, cert.upper_method) == (8, 8, "pure-rank")
+        assert cert.witness is None
+        cert, _ = omega_power_certificate(0.5, 3)
+        assert (cert.lower, cert.upper, cert.upper_method) == (4, 8, "eigenvector-ensemble")
+
+    def test_rejects_alpha_outside_unit_interval(self):
+        for alpha in (0.0, 1.5):
+            with pytest.raises(ValueError, match="mixing parameter"):
+                omega_power_certificate(alpha, 2)
 
 
 class TestCostReport:

@@ -146,9 +146,6 @@ class TestDioSynthesize:
 
 
 class TestNonFiniteInput:
-    # inf - inf in the gap d * dephase(rho) - rho makes numpy warn before
-    # spectrum rejects the result
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize(
         "check",

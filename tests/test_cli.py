@@ -412,6 +412,18 @@ class TestCost:
     def test_out_of_range_exits_3(self, capsys):
         assert main(["cost", "--alpha", "1.5"]) == 3
 
+    @pytest.mark.parametrize("n", ["25", "1000000000000"])
+    def test_copies_beyond_the_amplitude_budget_exit_3(self, n, capsys):
+        assert main(["cost", "--alpha", "0.01", "--n", n]) == 3
+        assert "exceeds cap" in capsys.readouterr().err
+
+    def test_amplitude_budget_follows_dim_cap(self, monkeypatch, capsys):
+        monkeypatch.setenv("COHRANK_DIM_CAP", "8")
+        code, out = run(["cost", "--alpha", "0.1", "--n", "6"], capsys)  # 2**6 = 8**2
+        assert code == 0 and json.loads(out)["zero_error"] == pytest.approx(1 / 6)
+        assert main(["cost", "--alpha", "0.1", "--n", "7"]) == 3
+        assert "exceeds cap 8**2" in capsys.readouterr().err
+
     def test_alpha_below_double_precision_exits_3(self, capsys):
         assert main(["cost", "--alpha", "1e-300"]) == 3
         assert "rounds to 0" in capsys.readouterr().err

@@ -3,16 +3,26 @@ import math
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from cohrank import (
+    DimensionCapError,
     InfeasiblePairEnsembleError,
+    OrbitWitness,
     dual_flag_ensemble,
     fourier_flag_mixture,
     max_coherent,
+    mc_lift,
+    mc_lift_vector,
     noisy_max_coherent,
+    noisy_power_row,
     power_pair_ensemble,
     power_pair_feasible,
+    power_pair_members,
+    power_pair_witness,
     tensor_power,
     verify_ensemble,
+    verify_orbit,
 )
 
 
@@ -74,6 +84,94 @@ class TestPowerPairEnsemble:
             power_pair_ensemble(0.0, 2)
         with pytest.raises(ValueError):
             power_pair_ensemble(0.2, 0)
+
+
+class TestOrbitWitness:
+    @pytest.mark.parametrize("alpha,n", [(0.2, 1), (0.2, 2), (0.1, 4), (2 ** (1 / 5) - 1, 5)])
+    def test_row_is_the_mixture_of_the_members(self, alpha, n):
+        witness = power_pair_witness(alpha, n)
+        mixture = sum(w * np.outer(psi, psi) for w, psi in witness.members())
+        labels = np.arange(2**n)
+        np.testing.assert_allclose(witness.row()[labels[:, None] ^ labels], mixture, atol=1e-15)
+        np.testing.assert_allclose(witness.reconstruction(), mixture, atol=1e-15)
+
+    def test_storage_is_one_weight_per_class(self):
+        witness = power_pair_witness(0.01, 10)
+        assert isinstance(witness, OrbitWitness)
+        assert witness.class_weights.shape == (2**10,)
+        assert len(witness) == power_pair_members(0.01, 10) == 2**9 * (2**10 + 1)
+
+    def test_boundary_prunes_basis_members(self):
+        witness = power_pair_witness(2 ** (1 / 3) - 1, 3)
+        assert not witness.keep_basis
+        assert len(witness) == 28
+        assert verify_orbit(witness, noisy_power_row(2 ** (1 / 3) - 1, 3)).feasible
+
+    def test_lift_moves_each_member_to_the_correlated_labels(self):
+        base = power_pair_witness(0.3, 2)
+        lifted = base.lifted()
+        assert lifted.target_dim == 16
+        for (w, psi), (w_hat, psi_hat) in zip(base.members(), lifted.members()):
+            assert w_hat == w
+            np.testing.assert_array_equal(psi_hat, mc_lift_vector(psi).real)
+        np.testing.assert_array_equal(lifted.reconstruction(), mc_lift(base.reconstruction()).real)
+        with pytest.raises(ValueError, match="already lifted"):
+            lifted.lifted()
+
+    def test_budget_is_dim_cap_squared(self, monkeypatch):
+        monkeypatch.setenv("COHRANK_DIM_CAP", "8")
+        assert power_pair_witness(0.01, 6).class_weights.size == 64
+        with pytest.raises(DimensionCapError, match="exceeds cap 8"):
+            power_pair_witness(0.01, 7)
+        with pytest.raises(DimensionCapError, match="exceeds cap 8"):
+            power_pair_ensemble(0.01, 4)
+
+
+class TestVerifyOrbit:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_dense_verify_on_its_own_target(self, n):
+        alpha = 0.7 * (2 ** (1 / n) - 1)
+        witness = power_pair_witness(alpha, n)
+        fast = verify_orbit(witness, noisy_power_row(alpha, n))
+        dense = verify_ensemble(witness, noisy_power(alpha, n))
+        assert fast.feasible and dense.feasible
+        assert fast.max_member_rank == dense.max_member_rank == 2
+        assert fast.reconstruction_trace_distance <= 1e-14
+        assert fast.weight_sum == pytest.approx(dense.weight_sum, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "classes,shift",
+        [((1,), 1e-7), ((5,), -1e-7), ((1, 3), None)],
+        ids=["raised", "lowered", "swapped-weight-kept-sum"],
+    )
+    def test_perturbed_class_weight_fails_both_paths(self, classes, shift):
+        alpha, n = 0.05, 3
+        witness = power_pair_witness(alpha, n)
+        weights = witness.class_weights.copy()
+        if shift is None:  # hamming weights 1 and 2: the sum holds, the mixture moves
+            weights[list(classes)] = weights[list(reversed(classes))]
+        else:
+            weights[list(classes)] += shift
+        bad = replace(witness, class_weights=weights)
+        fast = verify_orbit(bad, noisy_power_row(alpha, n))
+        dense = verify_ensemble(bad, noisy_power(alpha, n))
+        assert not fast.feasible and not dense.feasible
+        assert fast.reconstruction_trace_distance == pytest.approx(
+            dense.reconstruction_trace_distance, abs=1e-12
+        )
+        assert fast.reconstruction_trace_distance > 1e-8
+
+    def test_negative_residual_fails(self):
+        witness = replace(power_pair_witness(0.05, 2), residual=-1e-9)
+        report = verify_orbit(witness, noisy_power_row(0.05, 2))
+        assert not report.feasible
+
+    def test_rejects_mismatched_or_lifted_witness(self):
+        witness = power_pair_witness(0.1, 3)
+        with pytest.raises(ValueError, match="does not match"):
+            verify_orbit(witness, noisy_power_row(0.1, 2))
+        with pytest.raises(ValueError, match="does not match"):
+            verify_orbit(witness.lifted(), noisy_power_row(0.1, 3))
 
 
 class TestDualFlagEnsemble:

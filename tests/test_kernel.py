@@ -14,7 +14,9 @@ from cohrank import (
     trace_norm,
     validate_density_matrix,
     validate_pure_state,
+    walsh_hadamard,
 )
+from cohrank.kernel import require_amplitude_budget
 from helpers import random_density, random_pure
 
 
@@ -75,6 +77,46 @@ class TestTensorPower:
     def test_rejects_zero_copies(self):
         with pytest.raises(ValueError):
             tensor_power(np.eye(2), 0)
+
+
+class TestWalshHadamard:
+    @pytest.mark.parametrize("n", range(0, 7))
+    def test_matches_hadamard_matrix(self, n):
+        f = np.random.default_rng(n).standard_normal(2**n)
+        labels = np.arange(2**n)
+        hadamard = (-1.0) ** np.bitwise_count(labels[:, None] & labels)
+        np.testing.assert_allclose(walsh_hadamard(f), hadamard @ f, atol=1e-13)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_is_the_spectrum_of_the_xor_matrix(self, n):
+        f = np.random.default_rng(10 + n).standard_normal(2**n)
+        labels = np.arange(2**n)
+        xor_matrix = f[labels[:, None] ^ labels]
+        np.testing.assert_allclose(
+            np.sort(walsh_hadamard(f)), np.linalg.eigvalsh(xor_matrix), atol=1e-12
+        )
+
+    def test_leaves_its_input_alone(self):
+        f = np.array([1.0, 2.0, 3.0, 4.0])
+        walsh_hadamard(f)
+        np.testing.assert_array_equal(f, [1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("shape", [(3,), (6,), (2, 2)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="2\\*\\*n"):
+            walsh_hadamard(np.ones(shape))
+
+
+class TestAmplitudeBudget:
+    def test_budget_is_dim_cap_squared(self, monkeypatch):
+        monkeypatch.setenv("COHRANK_DIM_CAP", "8")
+        require_amplitude_budget(6, "vector")  # 2**6 = 8**2
+        with pytest.raises(DimensionCapError, match="2\\*\\*7 exceeds cap 8\\*\\*2"):
+            require_amplitude_budget(7, "vector")
+
+    def test_huge_n_is_refused_at_once(self):
+        with pytest.raises(DimensionCapError, match="exceeds cap"):
+            require_amplitude_budget(10**15, "vector")
 
 
 class TestSpectrum:

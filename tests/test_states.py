@@ -15,10 +15,12 @@ from cohrank import (
     mc_lift_vector,
     mc_unlift,
     noisy_max_coherent,
+    noisy_power_row,
     pair_state,
     pure_coherence_rank,
     validate_density_matrix,
     validate_pure_state,
+    tensor_power,
 )
 from helpers import random_density
 
@@ -60,6 +62,28 @@ class TestNoisyMaxCoherent:
     def test_is_valid_density(self):
         for alpha in (0.0, 0.5, 1.0):
             validate_density_matrix(noisy_max_coherent(alpha))
+
+
+class TestNoisyPowerRow:
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("alpha", [0.0, 0.13, 2 ** 0.5 - 1, 1.0])
+    def test_is_the_first_row_of_the_dense_power(self, alpha, n):
+        dense = tensor_power(noisy_max_coherent(alpha), n)
+        row = noisy_power_row(alpha, n)
+        np.testing.assert_array_equal(row, dense[0].real)
+        labels = np.arange(2**n)
+        np.testing.assert_array_equal(row[labels[:, None] ^ labels], dense.real)
+
+    def test_budget_follows_dim_cap(self, monkeypatch):
+        monkeypatch.setenv("COHRANK_DIM_CAP", "8")
+        assert noisy_power_row(0.2, 6).size == 64
+        with pytest.raises(DimensionCapError, match="exceeds cap 8"):
+            noisy_power_row(0.2, 7)
+
+    @pytest.mark.parametrize("alpha,n", [(-0.1, 2), (1.5, 2), (0.2, 0)])
+    def test_rejects_bad_parameters(self, alpha, n):
+        with pytest.raises(ValueError):
+            noisy_power_row(alpha, n)
 
 
 class TestFourierFlagFamily:
@@ -231,6 +255,19 @@ class TestCorrelatedLift:
         rho_hat = mc_lift(random_density(np.random.default_rng(33), 3))
         rho_hat[row, col] = 1e-6
         with pytest.raises(NotMaximallyCorrelatedError, match="1.000e-06 exceeds 1.0e-09"):
+            mc_unlift(rho_hat)
+
+    def test_unlift_rejects_nan_off_block(self):
+        # NaN > TOL_MC is False, so the leak test alone would pass it
+        rho_hat = mc_lift(noisy_max_coherent(0.3))
+        rho_hat[1, 2] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite.*first at index \(1, 2\)"):
+            mc_unlift(rho_hat)
+
+    def test_unlift_rejects_infinite_off_block_as_uncorrelated(self):
+        rho_hat = mc_lift(noisy_max_coherent(0.3))
+        rho_hat[1, 2] = np.inf
+        with pytest.raises(NotMaximallyCorrelatedError):
             mc_unlift(rho_hat)
 
     def test_lift_refuses_over_cap_before_allocating(self, monkeypatch):
