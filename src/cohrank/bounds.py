@@ -23,7 +23,13 @@ from .kernel import (
     trace_norm,
     walsh_hadamard,
 )
-from .states import TAU_AMP, NotMaximallyCorrelatedError, mc_unlift, noisy_power_row
+from .states import (
+    TAU_AMP,
+    CorrelatedState,
+    NotMaximallyCorrelatedError,
+    mc_unlift,
+    noisy_power_row,
+)
 
 # ceil(x - CEIL_GUARD) keeps float noise from inflating an exactly-integer bound;
 # floor(x + CEIL_GUARD) is the matching guard in the other direction.
@@ -38,8 +44,10 @@ DIAG_SUPPORT_TOL = 1e-12
 
 
 def l1_coherence(m) -> float:
-    """Sum of |entry| over all off-diagonal positions."""
-    a = np.abs(np.asarray(m, dtype=complex))
+    """Sum of |entry| over all off-diagonal positions; ValueError on a non-finite entry."""
+    m = np.asarray(m, dtype=complex)
+    _require_finite(m, "matrix")
+    a = np.abs(m)
     return float(a.sum() - np.trace(a))
 
 
@@ -53,7 +61,12 @@ def l1_rank_lower_bound(m) -> int:
 
 
 def negativity(rho_hat, dim_a: int, dim_b: int) -> float:
-    """(trace norm of the partial transpose - 1) / 2 for a bipartite state."""
+    """(trace norm of the partial transpose - 1) / 2 for a bipartite state.
+
+    Raises ValueError on a non-finite entry before the singular values.
+    """
+    rho_hat = as_complex_matrix(rho_hat)
+    _require_finite(rho_hat, "matrix")
     return 0.5 * (trace_norm(partial_transpose(rho_hat, dim_a, dim_b)) - 1.0)
 
 
@@ -185,24 +198,26 @@ def rank_certificate(
     alpha and n, "rho-d" needs d); otherwise it falls back to the eigenvector
     ensemble, which is generally loose, so exactness is only claimed when both
     bounds meet. A hint whose witness fails to verify is dropped entirely,
-    which keeps lower <= upper even for mislabeled inputs. Unknown or
-    incomplete hints, non-finite entries and non-states whose lower bound
-    exceeds the dimension raise ValueError.
+    which keeps lower <= upper even for mislabeled inputs; so is a hint whose
+    dimension (2**n, 2d) is not the matrix side, before its witness is built.
+    Unknown or incomplete hints, non-finite entries and non-states whose
+    lower bound exceeds the dimension raise ValueError.
     """
     _check_family(family, alpha=alpha, n=n, d=d)
     rho = as_complex_matrix(rho)
-    _require_finite(rho, "matrix")
-    offdiag = l1_coherence(rho)
+    offdiag = l1_coherence(rho)  # raises on a non-finite entry
 
+    side = rho.shape[0]
     ens: Ensemble | None = None
-    if family == "omega-power" and alpha > 0:
+    if (family == "omega-power" and alpha > 0
+            and side & (side - 1) == 0 and n == side.bit_length() - 1):
         ens = power_pair_witness(alpha, n) if power_pair_feasible(alpha, n) else None
-    elif family == "rho-d":
+    elif family == "rho-d" and 2 * d == side:
         ens = dual_flag_ensemble(d)
     witness: Ensemble | None = None
     upper: int | None = None
     upper_method: str | None = None
-    if ens is not None and ens.target_dim == rho.shape[0]:
+    if ens is not None:
         report = verify_ensemble(ens, rho)
         if report.feasible:
             witness, upper, upper_method = ens, report.max_member_rank, "ensemble-witness"
@@ -243,26 +258,36 @@ def schmidt_certificate(
 
     On maximally correlated states the Schmidt number equals the coherence
     rank of the unlifted state, so the full coherence certificate transfers
-    (its witness is lifted by moving each label i to ii) and no partial
-    transpose is formed. Otherwise only the negativity lower bound and an
-    eigenvector upper bound are reported. Raises ValueError like rank_certificate.
+    (its witness is lifted by the label map i -> ii) and no partial
+    transpose is formed. A CorrelatedState is certified from its base alone,
+    with no lift and no scan; its dims, when given, must be (d, d). A dense
+    input is scanned by mc_unlift. Otherwise only the negativity lower bound
+    and an eigenvector upper bound are reported. Raises ValueError like
+    rank_certificate.
     """
     _check_family(family, alpha=alpha, n=n, d=d)
-    rho_hat = as_complex_matrix(rho_hat)
-    if dims is None:
-        side = math.isqrt(rho_hat.shape[0])
-        dims = (side, side)
-    dim_a, dim_b = dims
-    if dim_a * dim_b != rho_hat.shape[0]:
-        raise ValueError(
-            f"dimension {rho_hat.shape[0]} does not factor as {dim_a} x {dim_b}"
-        )
     base = None
-    if dim_a == dim_b:
-        try:
-            base = mc_unlift(rho_hat)
-        except NotMaximallyCorrelatedError:
-            base = None
+    if isinstance(rho_hat, CorrelatedState):
+        side = rho_hat.base.shape[0]
+        if dims is not None and tuple(dims) != (side, side):
+            raise ValueError(f"a correlated state with base dimension {side} has dims "
+                             f"({side}, {side}), not {tuple(dims)}")
+        base = rho_hat.base
+    else:
+        rho_hat = as_complex_matrix(rho_hat)
+        if dims is None:
+            side = math.isqrt(rho_hat.shape[0])
+            dims = (side, side)
+        dim_a, dim_b = dims
+        if dim_a * dim_b != rho_hat.shape[0]:
+            raise ValueError(
+                f"dimension {rho_hat.shape[0]} does not factor as {dim_a} x {dim_b}"
+            )
+        if dim_a == dim_b:
+            try:
+                base = mc_unlift(rho_hat)
+            except NotMaximallyCorrelatedError:
+                pass
     if base is not None:
         # ||lift(rho)^G||_1 = 1 + ||rho||_l1, so the negativity bound is the
         # base l1 bound, which rank_certificate already takes.
@@ -272,12 +297,12 @@ def schmidt_certificate(
             cert.lower, cert.upper, cert.lower_method, cert.upper_method, witness
         )
 
-    _require_finite(rho_hat, "matrix")
+    # negativity raises on a non-finite entry, before the eigh below.
+    neg_lower = negativity_rank_lower_bound(rho_hat, dim_a, dim_b)
     upper, upper_method, witness = _eigenvector_ensemble(
         rho_hat,
         lambda ens: max((pure_schmidt_rank(v, dim_a, dim_b) for v in ens.states), default=1),
     )
-    neg_lower = negativity_rank_lower_bound(rho_hat, dim_a, dim_b)
     cert = RankCertificate(neg_lower, upper, "negativity", upper_method, witness)
     return _settled(cert, min(dim_a, dim_b))
 

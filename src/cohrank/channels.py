@@ -16,7 +16,13 @@ from .kernel import (
     psd_tol,
     spectrum,
 )
-from .states import fourier_flag_mixture, max_coherent, mc_labels, mc_lift, mc_unlift
+from .states import (
+    CorrelatedState,
+    fourier_flag_mixture,
+    max_coherent,
+    mc_labels,
+    mc_unlift,
+)
 
 TOL_COV = 1e-9
 TOL_TRACE_OUT = 1e-9
@@ -221,17 +227,20 @@ def mc_twirl(rho_hat) -> np.ndarray:
     return out
 
 
-def mcdc_apply(ch: DioChannel, rho_hat) -> np.ndarray:
+def mcdc_apply(ch: DioChannel, rho_hat) -> CorrelatedState:
     """Apply the correlated lift of a synthesized channel to a correlated state.
 
-    The input must be maximally correlated with local dimension equal to the
-    channel's input dimension; the output is the lift of the channel acting
-    on the unlifted state.
+    The input must be maximally correlated (a dense matrix or a
+    CorrelatedState, so lifted channels chain) with local dimension equal to
+    the channel's input dimension. The output is the lift of the channel
+    acting on the unlifted state, returned as a CorrelatedState: only the
+    output_dim-sided base is formed, never the output_dim**2-sided lift.
     """
-    rho_hat = as_complex_matrix(rho_hat)
+    if not isinstance(rho_hat, CorrelatedState):
+        rho_hat = as_complex_matrix(rho_hat)
     if rho_hat.shape[0] != ch.input_dim**2:
         raise ValueError(
             f"correlated input dimension {rho_hat.shape[0]} != {ch.input_dim}^2"
         )
     base = mc_unlift(rho_hat)
-    return mc_lift(choi_apply(ch.choi, ch.input_dim, ch.output_dim, base))
+    return CorrelatedState(choi_apply(ch.choi, ch.input_dim, ch.output_dim, base))

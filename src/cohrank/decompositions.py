@@ -3,9 +3,11 @@
 Two ensemble types share one interface (target_dim, weights, len, members,
 reconstruction, max_member_rank, lifted): WeightedEnsemble stores dense
 amplitude rows, OrbitWitness stores the two-level pair witness of the noisy
-coherent powers with one weight per XOR class. verify_ensemble checks any
-ensemble against a dense target; verify_orbit checks an OrbitWitness against
-an XOR-structured target in O(n 2**n), with no dense matrix.
+coherent powers with one weight per XOR class. Both lift to the maximally
+correlated block by a label map (|i> -> |ii>), with no lifted rows stored.
+verify_ensemble checks any ensemble against a dense target; verify_orbit
+checks an OrbitWitness against an XOR-structured target in O(n 2**n), with
+no dense matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .kernel import (
     require_amplitude_budget,
     walsh_hadamard,
 )
-from .states import TAU_AMP, fourier_flag_dual, mc_labels
+from .states import TAU_AMP, fourier_flag_dual, mc_labels, mc_lift
 
 # Members whose weight falls at or below cutoff/size are dropped as exact zeros.
 WEIGHT_CUTOFF = 1e-12
@@ -49,48 +51,64 @@ class InfeasiblePairEnsembleError(Exception):
         )
 
 
+class _LabelLift:
+    """lifted() for an ensemble whose lift flag maps label i to |ii>."""
+
+    def lifted(self):
+        """Maximally correlated lift: label i maps to |ii>; nothing is copied."""
+        if self.lift:
+            raise ValueError("witness is already lifted")
+        return replace(self, lift=True)
+
+
 @dataclass(frozen=True)
-class WeightedEnsemble:
+class WeightedEnsemble(_LabelLift):
     """Convex mixture of pure states, stored row-wise.
 
     weights: shape (m,) floats, nonnegative up to -1e-12, summing to 1.
-    states: shape (m, target_dim); rows are normalized amplitude vectors
-    (float64 when all amplitudes are real, else complex128).
+    states: shape (m, size); rows are normalized amplitude vectors
+    (float64 when all amplitudes are real, else complex128). With lift, each
+    row stands for its maximally correlated lift (amplitude on |i> moves to
+    |ii>), so target_dim is size**2 while states keeps the unlifted rows.
     """
 
     weights: np.ndarray
     states: np.ndarray
+    lift: bool = False
 
     @property
     def target_dim(self) -> int:
-        return self.states.shape[1]
+        size = self.states.shape[1]
+        return size * size if self.lift else size
 
     def __len__(self) -> int:
         return self.weights.size
 
     def members(self):
-        """Iterate (weight, amplitude-vector) pairs."""
-        return zip(self.weights.tolist(), self.states)
+        """Iterate (weight, amplitude-vector) pairs; lifted vectors are built one at a time."""
+        pairs = zip(self.weights.tolist(), self.states)
+        if not self.lift:
+            yield from pairs
+            return
+        labels, dim = mc_labels(self.states.shape[1]), self.target_dim
+        for weight, row in pairs:
+            psi = np.zeros(dim, dtype=row.dtype)
+            psi[labels] = row
+            yield weight, psi
 
     def reconstruction(self) -> np.ndarray:
-        """The mixture sum_k w_k |psi_k><psi_k| as a dense matrix."""
+        """The mixture sum_k w_k |psi_k><psi_k| as a dense matrix (mc_lift of it when lifted)."""
         weighted = self.states * self.weights[:, None]
-        return weighted.T @ self.states.conj()
+        recon = weighted.T @ self.states.conj()
+        return mc_lift(recon) if self.lift else recon
 
     def max_member_rank(self) -> int:
-        """Largest number of amplitudes above TAU_AMP in any member."""
+        """Largest number of amplitudes above TAU_AMP in any member (the lift keeps it)."""
         return int((np.abs(self.states) > TAU_AMP).sum(axis=1).max())
-
-    def lifted(self) -> "WeightedEnsemble":
-        """Maximally correlated lift: each amplitude on |i> moves to |ii>."""
-        dim = self.target_dim
-        states = np.zeros((len(self), dim * dim), dtype=self.states.dtype)
-        states[:, mc_labels(dim)] = self.states
-        return WeightedEnsemble(weights=self.weights, states=states)
 
 
 @dataclass(frozen=True)
-class OrbitWitness:
+class OrbitWitness(_LabelLift):
     """The rank-2 pair witness stored by XOR class, never as amplitude rows.
 
     For every unordered pair {i, j} of distinct labels of a 2**n-dim space,
@@ -170,22 +188,11 @@ class OrbitWitness:
             + np.bincount(cols, half, size)
             + (self.residual if self.keep_basis else 0.0)
         )
-        if not self.lift:
-            return recon
-        out = np.zeros((size * size, size * size))
-        idx = mc_labels(size)
-        out[np.ix_(idx, idx)] = recon
-        return out
+        return mc_lift(recon) if self.lift else recon
 
     def max_member_rank(self) -> int:
         """2 if any pair member is present, else 1 if any basis member is."""
         return 2 if self.class_weights.size > 1 else int(self.keep_basis)
-
-    def lifted(self) -> "OrbitWitness":
-        """Maximally correlated lift: label i maps to |ii>."""
-        if self.lift:
-            raise ValueError("witness is already lifted")
-        return replace(self, lift=True)
 
 
 Ensemble = WeightedEnsemble | OrbitWitness

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,6 +158,32 @@ def mc_lift(rho) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class CorrelatedState:
+    """The maximally correlated state mc_lift(base), kept as its d-dim base.
+
+    It stands for the d*d-dim matrix sum_ij base[i, j] |ii><jj| without
+    storing it: shape reports the lifted (d*d, d*d) shape, and np.asarray
+    materializes the lift through mc_lift, so DimensionCapError is raised
+    before allocating when d*d exceeds dim_cap(). mc_unlift,
+    schmidt_certificate and mcdc_apply read the base directly. eq=False:
+    no elementwise array comparison is attempted.
+    """
+
+    base: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "base", as_complex_matrix(self.base))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        dim = self.base.shape[0] ** 2
+        return dim, dim
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(mc_lift(self.base), dtype=dtype)
+
+
 def mc_lift_vector(psi) -> np.ndarray:
     """Vector version of mc_lift: amplitudes move from |i> to |ii>."""
     psi = np.asarray(psi, dtype=complex)
@@ -171,9 +198,12 @@ def mc_unlift(rho_hat) -> np.ndarray:
 
     Raises NotMaximallyCorrelatedError when any entry off the |ii><jj| block
     has modulus above TOL_MC (an infinite one included), and ValueError when
-    one is NaN, which no threshold test would catch. The input is scanned in slabs of d rows, so the
-    scratch space is O(d * dim), not a copy of the input.
+    one is NaN, which no threshold test would catch. The input is scanned in
+    slabs of d rows, so the scratch space is O(d * dim), not a copy of the
+    input. A CorrelatedState needs no scan: its base is returned as it is.
     """
+    if isinstance(rho_hat, CorrelatedState):
+        return rho_hat.base
     rho_hat = as_complex_matrix(rho_hat)
     dim = rho_hat.shape[0]
     d = math.isqrt(dim)

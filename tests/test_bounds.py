@@ -8,6 +8,7 @@ import pytest
 
 import cohrank
 from cohrank import (
+    CorrelatedState,
     OrbitWitness,
     asymptotic_entanglement_cost,
     binary_entropy,
@@ -47,6 +48,25 @@ def noisy_power(alpha, n):
     return tensor_power(noisy_max_coherent(alpha), n)
 
 
+def _refuse(monkeypatch, cohrank_names, linalg_names):
+    """Make the named functions raise: each cohrank name in every cohrank
+    module that holds it, each linalg name in np.linalg."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense matrix algebra on the structured path")
+
+    modules = [cohrank] + [
+        importlib.import_module(f"cohrank.{info.name}")
+        for info in pkgutil.iter_modules(cohrank.__path__)
+    ]
+    for module in modules:
+        for name in cohrank_names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for name in linalg_names:
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
 class TestL1:
     def test_diagonal_state(self):
         assert l1_coherence(np.diag([0.4, 0.6])) == 0.0
@@ -71,6 +91,18 @@ class TestL1:
     def test_cube_example(self):
         # (1.2)^3 = 1.728, so the bound rounds up to 2
         assert l1_rank_lower_bound(noisy_power(0.2, 3)) == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_l1_coherence_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match=r"non-finite.*first at index \(0, 0\)"):
+            l1_coherence(np.full((4, 4), bad))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_l1_rank_lower_bound_rejects_non_finite(self, bad):
+        rho = noisy_max_coherent(0.3)
+        rho[0, 1] = bad
+        with pytest.raises(ValueError, match=r"non-finite.*first at index \(0, 1\)"):
+            l1_rank_lower_bound(rho)
 
 
 class TestNegativity:
@@ -100,6 +132,18 @@ class TestNegativity:
             assert l1_coherence(rho) == pytest.approx(
                 2 * negativity(lifted, dim, dim), abs=1e-9
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_negativity_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match=r"non-finite.*first at index \(0, 0\)"):
+            negativity(np.full((4, 4), bad), 2, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_negativity_rank_lower_bound_rejects_non_finite(self, bad):
+        lifted = mc_lift(noisy_max_coherent(0.3))
+        lifted[1, 2] = bad
+        with pytest.raises(ValueError, match=r"non-finite.*first at index \(1, 2\)"):
+            negativity_rank_lower_bound(lifted, 2, 2)
 
 
 class TestDeltaRobustness:
@@ -192,6 +236,29 @@ class TestRankCertificate:
         assert cert.upper_method == "eigenvector-ensemble"
         assert cert.lower <= cert.upper
 
+    @pytest.mark.parametrize(
+        "rho,family,params",
+        [
+            (noisy_power(0.01, 2), "omega-power", {"alpha": 0.01, "n": 24}),
+            (noisy_power(0.01, 2), "omega-power", {"alpha": 0.01, "n": 3}),
+            (fourier_flag_mixture(3), "omega-power", {"alpha": 0.01, "n": 2}),
+            (noisy_power(0.01, 2), "rho-d", {"d": 10**9}),
+            (noisy_power(0.01, 3), "rho-d", {"d": 3}),
+        ],
+        ids=["omega-n24-on-4", "omega-n3-on-4", "omega-n2-on-6", "rho-huge-on-4", "rho-3-on-8"],
+    )
+    def test_hint_of_another_dimension_builds_no_witness(self, rho, family, params, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("witness built for a hint of another dimension")
+
+        monkeypatch.setattr(bounds, "power_pair_witness", refuse)
+        monkeypatch.setattr(bounds, "dual_flag_ensemble", refuse)
+        cert = rank_certificate(rho, family, **params)
+        plain = rank_certificate(rho)
+        assert (cert.lower, cert.upper, cert.lower_method, cert.upper_method) == (
+            plain.lower, plain.upper, plain.lower_method, plain.upper_method
+        )
+
     def test_wrong_flag_hint_does_not_poison_lower_bound(self):
         diag = np.diag([0.5, 0.5] + [0.0] * 4).astype(complex)
         cert = rank_certificate(diag, "rho-d", d=3)  # dims match, content does not
@@ -265,11 +332,11 @@ class TestSchmidtCertificate:
         assert isinstance(cert.witness, OrbitWitness)
         report = verify_ensemble(cert.witness, lifted)
         assert report.feasible and report.max_member_rank == 2
-        dense = power_pair_ensemble(alpha, n).lifted()
+        dense = power_pair_ensemble(alpha, n)
+        lifted_rows = np.array([mc_lift_vector(psi) for psi in dense.states])
         np.testing.assert_array_equal(cert.witness.weights, dense.weights)
-        np.testing.assert_array_equal(
-            np.array([psi for _, psi in cert.witness.members()]), dense.states
-        )
+        for ens in (cert.witness, dense.lifted()):
+            np.testing.assert_array_equal(np.array([psi for _, psi in ens.members()]), lifted_rows)
 
     def test_correlated_branch_forms_no_partial_transpose(self, monkeypatch):
         def refuse(*args):
@@ -291,6 +358,36 @@ class TestSchmidtCertificate:
             tracemalloc.stop()
         assert (cert.lower, cert.upper) == (25, 25)
         assert peak < lifted.nbytes / 8
+
+    def test_correlated_state_is_certified_from_its_base(self):
+        state = CorrelatedState(fourier_flag_mixture(4))
+        cert = schmidt_certificate(state, family="rho-d", d=4)
+        dense = schmidt_certificate(np.asarray(state), family="rho-d", d=4)
+        assert (cert.lower, cert.upper, cert.lower_method, cert.upper_method) == (
+            dense.lower, dense.upper, dense.lower_method, dense.upper_method
+        ) == (5, 5, "analytic-family", "ensemble-witness")
+        assert cert.witness.lift and cert.witness.states.shape == (4, 8)
+        assert cert.witness.target_dim == 64
+        assert verify_ensemble(cert.witness, np.asarray(state)).feasible
+        assert schmidt_certificate(state, (8, 8), "rho-d", d=4).lower == 5
+
+    @pytest.mark.parametrize("dims", [(4, 16), (64, 1), (2, 2)])
+    def test_correlated_state_rejects_other_dims(self, dims):
+        with pytest.raises(ValueError, match=r"dims \(8, 8\)"):
+            schmidt_certificate(CorrelatedState(fourier_flag_mixture(4)), dims)
+
+    def test_lifted_pipeline_forms_no_lift_at_d128(self, monkeypatch):
+        """fourier_flag_mixture(128) -> dio_synthesize -> mcdc_apply ->
+        schmidt_certificate certifies (129, 129) with no (256**2)-sided lift,
+        no partial transpose and no eigenvector solve."""
+        ebit = mc_lift(np.outer(max_coherent(2), max_coherent(2).conj()))
+        _refuse(monkeypatch, ["mc_lift", "partial_transpose"], ["eigh"])
+        image = mcdc_apply(dio_synthesize(fourier_flag_mixture(128), 2), ebit)
+        assert image.shape == (256**2, 256**2)
+        cert = schmidt_certificate(image, family="rho-d", d=128)
+        assert (cert.lower, cert.upper) == (129, 129) and cert.exact
+        assert cert.witness.target_dim == 256**2
+        assert cert.witness.states.shape == (128, 256)
 
     def test_nan_off_the_correlated_block_is_rejected(self):
         # the leak is NaN and NaN > TOL_MC is False: this used to certify (2, 2)
@@ -375,21 +472,8 @@ class TestEntanglementCost:
 
 
 def _refuse_dense(monkeypatch):
-    """Make tensor_power (in every cohrank module that holds it) and the dense
-    eigensolvers raise."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense matrix algebra on the structured path")
-
-    modules = [cohrank] + [
-        importlib.import_module(f"cohrank.{info.name}")
-        for info in pkgutil.iter_modules(cohrank.__path__)
-    ]
-    for module in modules:
-        if hasattr(module, "tensor_power"):
-            monkeypatch.setattr(module, "tensor_power", refuse)
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, refuse)
+    """Make tensor_power and the dense eigensolvers raise."""
+    _refuse(monkeypatch, ["tensor_power"], ["eigh", "eigvalsh"])
 
 
 class TestOmegaPowerCertificate:

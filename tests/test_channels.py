@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cohrank import (
+    CorrelatedState,
     DimensionCapError,
     DioInfeasibleError,
     NotMaximallyCorrelatedError,
@@ -324,6 +325,25 @@ class TestMcdcApply:
         ch = dio_synthesize(noisy_max_coherent(0.3), 2)
         with pytest.raises(ValueError):
             mcdc_apply(ch, np.eye(9) / 9)
+
+    def test_output_is_the_base_of_the_lift(self):
+        ch = dio_synthesize(fourier_flag_mixture(3), 2)
+        sigma = random_density(np.random.default_rng(47), 2)
+        out = mcdc_apply(ch, mc_lift(sigma))
+        assert isinstance(out, CorrelatedState)
+        assert out.shape == (36, 36)
+        np.testing.assert_array_equal(out.base, choi_apply(ch.choi, 2, 6, sigma))
+
+    def test_lifted_channels_chain(self):
+        first = dio_synthesize(noisy_max_coherent(0.3), 2)
+        second = dio_synthesize(fourier_flag_mixture(3), 2)
+        ebit = mc_lift(uniform_projector(2))
+        middle = mcdc_apply(first, ebit)
+        structured = mcdc_apply(second, middle)
+        dense = mcdc_apply(second, np.asarray(middle))
+        np.testing.assert_array_equal(structured.base, dense.base)
+        with pytest.raises(ValueError, match="correlated input dimension 36"):
+            mcdc_apply(first, structured)
 
 
 class TestPureStateMonotonicity:

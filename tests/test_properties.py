@@ -1,8 +1,9 @@
 """Property tests: the orbit pair witness and the structured omega-family
 certificate against the dense oracles, the feasibility boundary
 alpha = 2**(1/n) - 1, the maximally correlated Schmidt certificate against the
-partial-transpose negativity bound, and the DIO feasibility test and
-synthesized channel against the dephasing robustness."""
+partial-transpose negativity bound, the certificate of a lifted-channel
+image kept as its base against its dense lift, and the DIO feasibility test
+and synthesized channel against the dephasing robustness."""
 
 import math
 
@@ -19,10 +20,12 @@ from cohrank import (
     dilution_dimension,
     dio_feasible,
     dio_synthesize,
+    fourier_flag_mixture,
     l1_rank_lower_bound,
     max_coherent,
     mc_lift,
     mc_unlift,
+    mcdc_apply,
     negativity_rank_lower_bound,
     noisy_max_coherent,
     noisy_power_row,
@@ -205,3 +208,44 @@ def test_synthesized_channel_is_a_covariant_channel_onto_the_target(rho, extra):
     phi = max_coherent(d)
     image = choi_apply(ch.choi, d, rho.shape[0], np.outer(phi, phi.conj()))
     assert np.abs(image - rho).max() <= 1e-9
+
+
+@st.composite
+def lifted_channel_images(draw):
+    """(image, hint): mcdc_apply of a synthesized channel to a maximally
+    correlated input. The channel reaches a random target of dimension <= 24
+    or a flag mixture rho_k (k <= 12, hinted as rho-d) from a feasible input
+    dimension; the input is the lifted uniform superposition, whose image is
+    the target, or a random lifted state of that dimension."""
+    extra = draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        # robustness exactly 2, feasible at d = 2 (see dio_boundary_cases)
+        k = draw(st.integers(1, 12))
+        target, hint, d = fourier_flag_mixture(k), {"family": "rho-d", "d": k}, 2 + extra
+    else:
+        target, hint = draw(densities(max_dim=24)), {}
+        robustness = delta_robustness(target)
+        d = max(2, dilution_dimension(robustness)) + extra
+        assume(abs(robustness - d) > 1e-6)
+    if draw(st.booleans()):
+        sigma = np.outer(max_coherent(d), max_coherent(d).conj())
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        sigma = g @ g.conj().T / np.trace(g @ g.conj().T).real
+    return mcdc_apply(dio_synthesize(target, d), mc_lift(sigma)), hint
+
+
+@settings(max_examples=30, deadline=None)
+@given(lifted_channel_images())
+def test_correlated_state_certificate_matches_its_dense_lift(case):
+    """The Schmidt certificate taken from the base alone equals the one of the
+    dense lift (bounds and both method tags), and its label-mapped witness
+    verifies against the dense lift."""
+    image, hint = case
+    dense = np.asarray(image)
+    fast, slow = schmidt_certificate(image, **hint), schmidt_certificate(dense, **hint)
+    assert (fast.lower, fast.upper, fast.lower_method, fast.upper_method) == (
+        slow.lower, slow.upper, slow.lower_method, slow.upper_method
+    )
+    assert verify_ensemble(fast.witness, dense).feasible

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cohrank import (
+    CorrelatedState,
     DimensionCapError,
     NotMaximallyCorrelatedError,
     fourier_flag_dual,
@@ -275,3 +277,40 @@ class TestCorrelatedLift:
         with pytest.raises(DimensionCapError, match="exceeds cap 8"):
             mc_lift(np.eye(3) / 3)
         assert mc_lift(np.eye(2) / 2).shape == (4, 4)
+
+
+class TestCorrelatedState:
+    def test_shape_and_array_are_the_lift(self):
+        rho = random_density(np.random.default_rng(34), 3)
+        state = CorrelatedState(rho)
+        assert state.shape == (9, 9)
+        np.testing.assert_array_equal(np.asarray(state), mc_lift(rho))
+        assert np.asarray(state, dtype=complex).dtype == np.complex128
+        assert np.abs(state - mc_lift(rho)).max() == 0.0
+
+    def test_unlift_returns_the_base_without_a_scan(self):
+        state = CorrelatedState(noisy_max_coherent(0.3))
+        assert mc_unlift(state) is state.base
+
+    def test_base_is_coerced_to_a_square_complex_matrix(self):
+        state = CorrelatedState([[0.5, 0.1], [0.1, 0.5]])
+        assert state.base.dtype == np.complex128
+        with pytest.raises(ValueError, match="square"):
+            CorrelatedState(np.ones((2, 3)))
+
+    def test_equality_is_identity_not_elementwise(self):
+        state = CorrelatedState(noisy_max_coherent(0.3))
+        assert state == state
+        assert state != CorrelatedState(state.base.copy())
+
+    def test_array_over_cap_raises_before_allocating(self):
+        state = CorrelatedState(np.eye(65) / 65)  # 65**2 = 4225 > 4096
+        assert state.shape == (4225, 4225)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionCapError, match="exceeds cap"):
+                np.asarray(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
