@@ -105,6 +105,7 @@ def pure_schmidt_rank(psi, dim_a: int, dim_b: int) -> int:
     psi = np.asarray(psi, dtype=complex)
     if psi.size != dim_a * dim_b:
         raise ValueError(f"vector size {psi.size} does not factor as {dim_a} x {dim_b}")
+    _require_finite(psi, "state vector")
     sv = np.linalg.svd(psi.reshape(dim_a, dim_b), compute_uv=False)
     return int(np.count_nonzero(sv > TAU_AMP))
 

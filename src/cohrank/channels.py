@@ -179,6 +179,7 @@ def covariance_report(choi, din: int, dout: int) -> CovarianceReport:
     choi = as_complex_matrix(choi)
     if choi.shape[0] != din * dout:
         raise ValueError(f"Choi dimension {choi.shape[0]} != {din} * {dout}")
+    _require_finite(choi, "Choi matrix")
     blocks = choi.reshape(din, dout, din, dout).transpose(0, 2, 1, 3)
     units, levels = np.arange(din)[:, None], np.arange(dout)
     mismatch = np.zeros(blocks.shape, dtype=complex)

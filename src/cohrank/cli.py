@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .decompositions import (
     verify_ensemble,
 )
 from .kernel import DimensionCapError, dim_cap, tensor_power, validate_density_matrix
-from .serialize import channel_to_json, ensemble_to_json, matrix_from_json
+from .serialize import channel_to_json, ensemble_to_json, matrix_from_json, write_json
 from .states import fourier_flag_mixture, noisy_max_coherent
 
 CSV_HEADER = (
@@ -38,15 +39,25 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextmanager
+def _output(out: str | None):
+    """The --out file, opened only when the first byte is about to be written, or stdout."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
-    _emit(json.dumps(doc, indent=2) + "\n", out)
+    """Stream doc through write_json; every refusal must be raised before this call."""
+    with _output(out) as fh:
+        write_json(doc, fh)
 
 
 def sweep_rows(alpha_min: float, alpha_max: float, steps: int, n_max: int) -> list[str]:
@@ -123,7 +134,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown family {args.family!r}")
     report = verify_ensemble(ens, target)
     doc = {"family": args.family, "params": params, "feasible": True}
-    doc.update(ensemble_to_json(ens, report))
+    doc.update(ensemble_to_json(ens, report))  # members are generated as they are written
     _emit_json(doc, args.out)
     return 0
 

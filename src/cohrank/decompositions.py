@@ -19,6 +19,7 @@ import numpy as np
 
 from .kernel import (
     DimensionCapError,
+    _require_finite,
     as_complex_matrix,
     dim_cap,
     require_amplitude_budget,
@@ -332,6 +333,7 @@ def verify_ensemble(ens: Ensemble, target) -> EnsembleReport:
         raise ValueError(
             f"ensemble dimension {ens.target_dim} != target {target.shape[0]}"
         )
+    _require_finite(target, "target")
     diff = ens.reconstruction() - target
     if not diff.imag.any():
         diff = diff.real

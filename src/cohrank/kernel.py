@@ -145,6 +145,7 @@ def partial_transpose(m, dim_a: int, dim_b: int) -> np.ndarray:
 def trace_norm(m) -> float:
     """Sum of singular values (for Hermitian input: sum of |eigenvalues|)."""
     m = as_complex_matrix(m)
+    _require_finite(m, "matrix")
     return float(np.linalg.svd(m, compute_uv=False).sum())
 
 

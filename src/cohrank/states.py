@@ -131,6 +131,7 @@ def pair_state(i: str, j: str) -> np.ndarray:
 def pure_coherence_rank(psi) -> int:
     """Number of amplitudes with modulus above TAU_AMP."""
     psi = np.asarray(psi, dtype=complex)
+    _require_finite(psi, "state vector")
     return int(np.count_nonzero(np.abs(psi) > TAU_AMP))
 
 

@@ -420,6 +420,15 @@ class TestSchmidtCertificate:
         with pytest.raises(ValueError, match=rf"non-finite.*index \({index[0]}, {index[1]}\)"):
             schmidt_certificate(rho_hat, dims)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pure_schmidt_rank_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match=r"non-finite.*first at index \(0,\)"):
+            pure_schmidt_rank(np.full(4, bad), 2, 2)
+        psi = mc_lift_vector(max_coherent(2)).astype(complex)
+        psi[3] = bad
+        with pytest.raises(ValueError, match=r"1 non-finite.*first at index \(3,\)"):
+            pure_schmidt_rank(psi, 2, 2)
+
     def test_pure_schmidt_rank(self):
         assert pure_schmidt_rank(mc_lift_vector(max_coherent(2)), 2, 2) == 2
         product = np.kron(np.array([1.0, 0.0]), max_coherent(2))

@@ -154,10 +154,14 @@ class TestNonFiniteInput:
             lambda m: dio_feasible(m, 2),
             lambda m: dio_synthesize(m, 2),
             lambda m: cptp_report(m, 1, 2),
+            lambda m: covariance_report(m, 1, 2),
             delta_robustness,
             spectrum,
         ],
-        ids=["dio_feasible", "dio_synthesize", "cptp_report", "delta_robustness", "spectrum"],
+        ids=[
+            "dio_feasible", "dio_synthesize", "cptp_report", "covariance_report",
+            "delta_robustness", "spectrum",
+        ],
     )
     def test_rejected_with_value_error(self, check, bad):
         m = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)

@@ -1,12 +1,15 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import cohrank.cli
 from cohrank import fourier_flag_mixture, max_coherent, mc_lift, noisy_max_coherent
 from cohrank.cli import CSV_HEADER, main
+from cohrank.kernel import DimensionCapError
 from cohrank.serialize import (
     channel_from_json,
     ensemble_from_json,
@@ -55,6 +58,19 @@ GOLDEN_SHA256 = [
      "a908ab22e695412d286bb80dc579bb84f24c468c8929ff1c18c5e86fc43083d6"),
 ]
 
+# The JSON documents of decompose, pinned with their exit codes: feasible,
+# the n = 4 boundary 2**(1/4) - 1 (no basis members), infeasible, and rho_d.
+GOLDEN_DOC_SHA256 = [
+    (["decompose", "--family", "omega-power", "--alpha", "0.2", "--n", "3"], 0,
+     "d3745841d634fb3ca89741f73de25c1030f32e683454f5363bd2ea3752af2349"),
+    (["decompose", "--family", "omega-power", "--alpha", repr(2**0.25 - 1), "--n", "4"], 0,
+     "fcce3f78b5994dc9ee2428b7af711063594eb907a113e288171c494e44501698"),
+    (["decompose", "--family", "omega-power", "--alpha", "1", "--n", "2"], 2,
+     "0f0c06182552c2e6309c7c1589d289ea5405e768eda296d07edfd22a454292e5"),
+    (["decompose", "--family", "rho-d", "--d", "3"], 0,
+     "fe9796fc46123c85e00d048349979d83aac6f8d4be565ec2decc56ae7ec5874c"),
+]
+
 
 class TestGoldenBytes:
     def test_small_grid_text(self, capsys):
@@ -73,6 +89,23 @@ class TestGoldenBytes:
         code, out = run(args, capsys)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "args,exit_code,digest", GOLDEN_DOC_SHA256,
+        ids=[" ".join(a) for a, _, _ in GOLDEN_DOC_SHA256],
+    )
+    def test_decompose_digest(self, args, exit_code, digest, capsys):
+        code, out = run(args, capsys)
+        assert code == exit_code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_dio_file_digest(self, tmp_path):
+        state, out = tmp_path / "state.json", tmp_path / "channel.json"
+        state.write_text(json.dumps(matrix_to_json(fourier_flag_mixture(4))))
+        assert main(["dio", "--state", str(state), "--d", "2", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a7cf9f3c62bb8c64cd21b3341d8c1e5379a0ab31e4b172a6c1bb518941b9a496"
+        )
 
 
 class TestSerializeRoundTrip:
@@ -246,6 +279,73 @@ class TestDecompose:
         )
         assert code == 2
         assert json.loads(out)["feasible"] is False
+
+
+class TestStreamedOutput:
+    """JSON goes out through one streaming writer, never a whole-document encoder."""
+
+    def test_decompose_memory_is_bounded_by_a_block(self, tmp_path):
+        # the whole document (27 MB) used to be built as lists and one string:
+        # a tracemalloc peak of about 250 MB
+        out = tmp_path / "ens.json"
+        tracemalloc.start()
+        try:
+            code = main(["decompose", "--family", "omega-power", "--alpha", "0.05",
+                         "--n", "7", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out.stat().st_size > 20 * 2**20
+        assert peak < 16 * 2**20
+
+    def test_no_whole_document_encoder(self, tmp_path, monkeypatch, capsys):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(matrix_to_json(fourier_flag_mixture(4))))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("whole-document JSON encoding")
+
+        monkeypatch.setattr(json.JSONEncoder, "iterencode", refuse)
+        for args, expected in [
+            (["cost", "--alpha", "0.3", "--n", "3"], 0),
+            (["decompose", "--family", "omega-power", "--alpha", "0.1", "--n", "3"], 0),
+            (["decompose", "--family", "omega-power", "--alpha", "1", "--n", "2"], 2),
+            (["decompose", "--family", "rho-d", "--d", "3"], 0),
+            (["dio", "--state", str(state), "--d", "2"], 0),
+            (["dio", "--state", str(state), "--d", "1"], 3),
+        ]:
+            assert main(args) == expected, args
+        assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name,error",
+        [
+            ("power_pair_witness", DimensionCapError("witness over the cap")),
+            ("tensor_power", DimensionCapError("target over the cap")),
+            ("verify_ensemble", ValueError("target has non-finite entries")),
+        ],
+    )
+    def test_decompose_refusal_leaves_no_file(self, name, error, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cohrank.cli, name, refuse)
+        out = tmp_path / "ens.json"
+        code = main(["decompose", "--family", "omega-power", "--alpha", "0.1", "--n", "3",
+                     "--out", str(out)])
+        assert code == 3
+        assert str(error) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dio_refusal_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(matrix_to_json(noisy_max_coherent(0.3))))
+        out = tmp_path / "channel.json"
+        monkeypatch.setenv("COHRANK_DIM_CAP", "8")
+        assert main(["dio", "--state", str(state), "--d", "5", "--out", str(out)]) == 3
+        assert "exceeds cap" in capsys.readouterr().err
+        assert not out.exists()
 
 
 DIO_BOUNDARY = dio_boundary_cases()

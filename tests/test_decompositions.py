@@ -233,3 +233,13 @@ class TestVerifyEnsemble:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             verify_ensemble(dual_flag_ensemble(2), noisy_max_coherent(0.2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        ens = power_pair_witness(0.1, 2)
+        with pytest.raises(ValueError, match=r"target has 16 non-finite.*index \(0, 0\)"):
+            verify_ensemble(ens, np.full((4, 4), bad))
+        target = noisy_power(0.1, 2)
+        target[2, 1] = bad
+        with pytest.raises(ValueError, match=r"target has 1 non-finite.*index \(2, 1\)"):
+            verify_ensemble(ens, target)

@@ -224,6 +224,16 @@ class TestValidation:
             validate_density_matrix(rho)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_trace_norm_rejects_non_finite(self, bad):
+        # the SVD used to fail with "did not converge" on NaN
+        with pytest.raises(ValueError, match=r"4 non-finite.*index \(0, 0\)"):
+            trace_norm(np.full((2, 2), bad))
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match=r"1 non-finite.*index \(1, 2\)"):
+            trace_norm(m)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_pure_state(self, bad):
         with pytest.raises(ValueError, match=r"non-finite.*index \(2,\)"):
             validate_pure_state(np.array([1.0, 0.0, bad]))

@@ -205,6 +205,14 @@ class TestPureCoherenceRank:
         psi /= np.linalg.norm(psi)
         assert pure_coherence_rank(psi) == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN > TAU_AMP is False, so an all-NaN vector used to count rank 0
+        with pytest.raises(ValueError, match=r"4 non-finite.*first at index \(0,\)"):
+            pure_coherence_rank(np.full(4, bad))
+        with pytest.raises(ValueError, match=r"1 non-finite.*first at index \(2,\)"):
+            pure_coherence_rank(np.array([0.6, 0.8, bad]))
+
 
 class TestCorrelatedLift:
     def test_lift_of_uniform_superposition(self):
