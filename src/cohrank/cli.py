@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from pathlib import Path
 
@@ -41,12 +43,43 @@ def _fmt(x: float) -> str:
 
 @contextmanager
 def _output(out: str | None):
-    """The --out file, opened only when the first byte is about to be written, or stdout."""
-    if out:
+    """Stdout, or the --out file, which is opened only after every refusal.
+
+    The text is streamed, so a run can still fail partway (MemoryError, an
+    interrupt). A regular --out file is therefore written under a temporary
+    name beside it and renamed over it once complete: a failed run leaves no
+    truncated document, and an earlier file as it was. Stdout and the other
+    --out targets (/dev/null, a pipe, a file in a directory that takes no new
+    file) are written in place.
+    """
+    if not out:
+        yield sys.stdout
+        return
+    target = os.path.realpath(out) if os.path.islink(out) else out
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    fd = -1
+    if mode is None or stat.S_ISREG(mode):
+        head, tail = os.path.split(target)
+        part = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.part")
+        with suppress(OSError):  # no writable directory: write in place
+            # 0o666 under the umask, as open(out, "w") would create it
+            fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    if fd < 0:
         with open(out, "w", encoding="utf-8") as fh:
             yield fh
-    else:
-        yield sys.stdout
+        return
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            if mode is not None:  # an existing file keeps its mode
+                os.chmod(fd, stat.S_IMODE(mode))
+            yield fh
+        os.replace(part, target)
+    except BaseException:
+        os.unlink(part)
+        raise
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -9,13 +9,14 @@ json module's dumps writes at indent=2, plus a newline. Besides JSON values it
 takes numpy arrays (the flat list of their values, a complex array interleaved
 as in the schema) and Rows (a lazy list of objects given in blocks of
 columns). ensemble_to_json and channel_to_json build such documents, so
-nothing the size of the document is ever formed.
+nothing the size of the document is ever formed, and each can be written
+more than once.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
@@ -94,9 +95,11 @@ class Rows:
     a 1-D array (one float per row), a 2-D array (one list of floats per
     row, complex interleaved) or a JSON scalar shared by every row; at least
     one column is an array. write_json formats a whole block per numpy pass.
+    blocks is a function of no arguments that returns the blocks; write_json
+    calls it on every write, so the same document can be written again.
     """
 
-    def __init__(self, blocks: Iterable[dict]):
+    def __init__(self, blocks: Callable[[], Iterable[dict]]):
         self.blocks = blocks
 
 
@@ -114,7 +117,7 @@ def _member_blocks(ens: Ensemble):
 
 def ensemble_to_json(ens: Ensemble, report: EnsembleReport | None = None) -> dict:
     """Lazy document for write_json: members are built MEMBER_BLOCK at a time, on write."""
-    doc: dict = {"target_dim": ens.target_dim, "members": Rows(_member_blocks(ens))}
+    doc: dict = {"target_dim": ens.target_dim, "members": Rows(lambda: _member_blocks(ens))}
     if report is not None:
         doc["report"] = {
             "reconstruction_trace_distance": report.reconstruction_trace_distance,
@@ -182,15 +185,11 @@ def _float_rows(block: np.ndarray, sep: str) -> list[str]:
     """The floats of each row of a 2-D block as json writes them, joined by sep.
 
     One nonzero scan covers the block. +0.0 is the one float whose bits are
-    all zero, so the scan keeps -0.0, which json writes "-0.0". A mostly-zero
-    block formats only its nonzeros and writes each run of zeros by string
-    repetition.
+    all zero, so the scan keeps -0.0, which json writes "-0.0". Only the
+    nonzeros are formatted; each run of zeros is written by string repetition.
     """
     count, width = block.shape
     rows, cols = np.nonzero(block.view(np.int64))
-    if 4 * rows.size > block.size:
-        texts = _float_texts(block.reshape(-1))
-        return [sep.join(texts[r * width : (r + 1) * width]) for r in range(count)]
     texts = _float_texts(block[rows, cols])
     cols = cols.tolist()
     zero = "0.0" + sep
@@ -212,14 +211,23 @@ def _keyed(item: tuple) -> tuple[str, object]:
     return encode_basestring_ascii(key) + ": ", value
 
 
-# Exact scalar types; subclasses (a numpy float64 is a float) take the isinstance path.
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _floatstr,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-}
+def _scalar(value) -> str | None:
+    """json's text of a str, None, bool, int or float (subclasses too, in json's
+    order: a numpy float64 is a float, a numpy bool or int64 is none of them);
+    None for any other value."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _floatstr(value)
+    return None
 
 
 def write_json(doc, fh) -> None:
@@ -238,9 +246,9 @@ def write_json(doc, fh) -> None:
         pieces.clear()
 
     def encode(value, level: int) -> None:
-        scalar = _SCALARS.get(type(value))
-        if scalar is not None:
-            pieces.append(scalar(value))
+        text = _scalar(value)
+        if text is not None:
+            pieces.append(text)
         elif isinstance(value, dict):
             encode_items(map(_keyed, value.items()), level, "{", "}")
         elif isinstance(value, np.ndarray):
@@ -249,12 +257,6 @@ def write_json(doc, fh) -> None:
             encode_rows(value, level)
         elif isinstance(value, (list, tuple)):
             encode_items((("", item) for item in value), level, "[", "]")
-        elif isinstance(value, str):
-            pieces.append(encode_basestring_ascii(value))
-        elif isinstance(value, int):
-            pieces.append(int.__repr__(value))
-        elif isinstance(value, float):
-            pieces.append(_floatstr(value))
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -295,7 +297,7 @@ def write_json(doc, fh) -> None:
         field = "\n" + INDENT * (level + 2)
         closing = "\n" + INDENT * (level + 1) + "}"
         opening = "[" + inner
-        for block in value.blocks:
+        for block in value.blocks():
             lengths = [len(column) for column in block.values() if isinstance(column, np.ndarray)]
             if not lengths:
                 raise ValueError("a Rows block needs at least one array column")
@@ -303,7 +305,11 @@ def write_json(doc, fh) -> None:
             for key, column in block.items():
                 heads.append(("{" if not heads else ",") + field + encode_basestring_ascii(key) + ": ")
                 if not isinstance(column, np.ndarray):
-                    columns.append([_SCALARS[type(column)](column)] * lengths[0])
+                    text = _scalar(column)
+                    if text is None:
+                        name = type(column).__name__
+                        raise TypeError(f"a Rows column must be an array or a JSON scalar, not {name}")
+                    columns.append([text] * lengths[0])
                 elif column.ndim == 2:
                     columns.append(array_text(_floats(column), level + 2))
                 else:

@@ -1,13 +1,22 @@
 import hashlib
 import json
 import math
+import os
+import stat
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import cohrank.cli
-from cohrank import fourier_flag_mixture, max_coherent, mc_lift, noisy_max_coherent
+from cohrank import (
+    OrbitWitness,
+    fourier_flag_mixture,
+    max_coherent,
+    mc_lift,
+    noisy_max_coherent,
+    serialize,
+)
 from cohrank.cli import CSV_HEADER, main
 from cohrank.kernel import DimensionCapError
 from cohrank.serialize import (
@@ -337,6 +346,56 @@ class TestStreamedOutput:
         assert code == 3
         assert str(error) in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("earlier", [None, "earlier document\n"])
+    def test_failure_partway_leaves_no_truncated_file(self, earlier, tmp_path, monkeypatch,
+                                                      capsys):
+        out = tmp_path / "ens.json"
+        if earlier is not None:
+            out.write_text(earlier)
+        members, seen = OrbitWitness.members, []
+
+        def fail_partway(self):
+            it = members(self)
+            for _ in range(20):
+                yield next(it)
+            # twenty one-member blocks, past the file's write buffer, are on disk by now
+            seen.extend((p.name, p.stat().st_size) for p in tmp_path.iterdir() if p != out)
+            raise MemoryError("out of memory partway")
+
+        monkeypatch.setattr(OrbitWitness, "members", fail_partway)
+        monkeypatch.setattr(serialize, "MEMBER_BLOCK", 1)
+        code = main(["decompose", "--family", "omega-power", "--alpha", "0.1", "--n", "5",
+                     "--out", str(out)])
+        assert code == 1
+        assert "out of memory partway" in capsys.readouterr().err
+        assert len(seen) == 1 and seen[0][1] > 0
+        assert sorted(os.listdir(tmp_path)) == ([] if earlier is None else ["ens.json"])
+        if earlier is not None:
+            assert out.read_text() == earlier
+
+    def test_out_file_mode_and_links(self, tmp_path):
+        args = ["cost", "--alpha", "0.3", "--n", "2", "--out"]
+        fresh = tmp_path / "fresh.json"
+        assert main(args + [str(fresh)]) == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+        kept = tmp_path / "kept.json"
+        kept.write_text("old")
+        kept.chmod(0o640)
+        link = tmp_path / "link.json"
+        link.symlink_to(kept)
+        assert main(args + [str(link)]) == 0
+        assert link.is_symlink() and stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert kept.read_text() == fresh.read_text()
+        assert main(args + [os.devnull]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["fresh.json", "kept.json", "link.json"]
+
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "cost.json"
+        assert main(["cost", "--alpha", "0.3", "--out", str(out)]) == 3
+        assert f"No such file or directory: '{out}'" in capsys.readouterr().err
 
     def test_dio_refusal_leaves_no_file(self, tmp_path, monkeypatch, capsys):
         state = tmp_path / "state.json"

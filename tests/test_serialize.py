@@ -132,7 +132,7 @@ def row_lists(draw):
             columns.append(column)
         blocks.append(block)
         plain += [dict(zip(keys, row)) for row in zip(*columns)]
-    return Rows(iter(blocks)), plain
+    return Rows(lambda: iter(blocks)), plain
 
 
 class TestWriteJson:
@@ -160,7 +160,7 @@ class TestWriteJson:
             (lambda: np.array([]), []),
             (lambda: np.array(2.5), [2.5]),
             (lambda: np.zeros((3, 0)), []),
-            (lambda: Rows(iter([])), []),
+            (lambda: Rows(lambda: iter([])), []),
             (lambda: None, None),
             (lambda: "x", "x"),
             (lambda: -0.0, -0.0),
@@ -184,7 +184,11 @@ class TestWriteJson:
 
     def test_rows_block_needs_an_array_column(self):
         with pytest.raises(ValueError, match="array column"):
-            written(Rows(iter([{"dim": 3}])))
+            written(Rows(lambda: [{"dim": 3}]))
+
+    def test_rows_column_must_be_an_array_or_a_scalar(self):
+        with pytest.raises(TypeError, match="Rows column"):
+            written(Rows(lambda: [{"weight": np.ones(2), "tags": ["a"]}]))
 
     @pytest.mark.parametrize(
         "doc",
@@ -244,6 +248,16 @@ class TestLazyDocuments:
         report = verify_ensemble(ens, target)
         assert written(ensemble_to_json(ens, report)) == oracle(eager_ensemble(ens, report))
         assert written(ensemble_to_json(ens)) == oracle(eager_ensemble(ens))
+
+    def test_documents_can_be_written_twice(self):
+        ens = power_pair_witness(0.1, 3)
+        report = verify_ensemble(ens, ens.reconstruction())
+        doc = ensemble_to_json(ens, report)
+        first = written(doc)
+        assert written(doc) == first == oracle(eager_ensemble(ens, report))
+        ch = dio_synthesize(fourier_flag_mixture(3), 2)
+        doc = channel_to_json(ch)
+        assert written(doc) == written(doc)
 
     def test_ensemble_members_are_built_on_write(self):
         ens = power_pair_witness(0.1, 2)
