@@ -19,17 +19,13 @@ from .decompositions import (
 from .kernel import (
     _require_finite,
     as_complex_matrix,
+    binomial_sum,
+    binomials,
+    krawtchouk,
     partial_transpose,
     trace_norm,
-    walsh_hadamard,
 )
-from .states import (
-    TAU_AMP,
-    CorrelatedState,
-    NotMaximallyCorrelatedError,
-    mc_unlift,
-    noisy_power_row,
-)
+from .states import TAU_AMP, CorrelatedState, NotMaximallyCorrelatedError, mc_unlift
 
 # ceil(x - CEIL_GUARD) keeps float noise from inflating an exactly-integer bound;
 # floor(x + CEIL_GUARD) is the matching guard in the other direction.
@@ -210,7 +206,7 @@ def rank_certificate(
 
     side = rho.shape[0]
     ens: Ensemble | None = None
-    if (family == "omega-power" and alpha > 0
+    if (family == "omega-power" and 0 < alpha < math.inf
             and side & (side - 1) == 0 and n == side.bit_length() - 1):
         ens = power_pair_witness(alpha, n) if power_pair_feasible(alpha, n) else None
     elif family == "rho-d" and 2 * d == side:
@@ -309,38 +305,38 @@ def schmidt_certificate(
 
 
 def omega_power_certificate(alpha: float, n: int) -> tuple[RankCertificate, int]:
-    """Certify the coherence rank of omega(alpha)^(x)n, 0 < alpha <= 1, with no dense matrix.
+    """Certify the coherence rank of omega(alpha)^(x)n, 0 < alpha <= 1, with no 2**n-sized array.
 
-    Returns the certificate and the l1 bound by itself. The n-fold power is
-    M[i, j] = row[i ^ j] (states.noisy_power_row), so its l1 mass is
-    2**n * sum_{k != 0} row[k] and its eigenvalues are the Walsh-Hadamard
-    transform of the row. The upper bound is the orbit witness checked by
+    Returns the certificate and the l1 bound by itself. The power is
+    M[i, j] = row[popcount(i ^ j)] / 2**n with row[w] = alpha**w, so its l1
+    mass is binomial_sum(row) minus the trace 1 and its eigenvalues are
+    krawtchouk(row) / 2**n. The upper bound is the orbit witness checked by
     verify_orbit when it is feasible; otherwise the eigenvector ensemble,
     whose members are the Hadamard rows, each of coherence rank 2**n, so the
     bound is the dimension and no member is materialized ("pure-rank" when
     exactly one eigenvalue exceeds EIG_CUTOFF). These are the bounds and tags
-    rank_certificate gives on the dense power. Time and memory are
-    O(n 2**n) and O(2**n); DimensionCapError when 2**n exceeds dim_cap()**2.
+    rank_certificate gives on the dense power, in O(n**2) time and memory.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"mixing parameter must lie in (0, 1], got {alpha}")
-    target = noisy_power_row(alpha, n)
-    size = target.size
-    # Total mass minus the trace, the order l1_coherence sums in: at
+    feasible = power_pair_feasible(alpha, n)
+    target = alpha ** np.arange(n + 1, dtype=float)
+    # Total mass minus the trace 1, the order l1_coherence sums in: at
     # alpha = 1e-9, n = 1 the mass sits on NONDIAG_TOL and rounding decides.
-    offdiag = size * float(target.sum()) - size * float(target[0])
-    witness, upper, upper_method = None, size, None
-    if power_pair_feasible(alpha, n):
+    # Rounded once, the mass never exceeds 2**n, nor the l1 bound the dimension.
+    offdiag = binomial_sum(target) - 1.0
+    witness, upper, upper_method = None, 2**n, None
+    if feasible:
         orbit = power_pair_witness(alpha, n)
         report = verify_orbit(orbit, target)
         if report.feasible:
             witness, upper, upper_method = orbit, report.max_member_rank, "ensemble-witness"
     if witness is None:
-        above = int(np.count_nonzero(walsh_hadamard(target) > EIG_CUTOFF))
+        above = binomials(n)[np.ldexp(krawtchouk(target), -n) > EIG_CUTOFF].sum()
         upper_method = "pure-rank" if above == 1 else "eigenvector-ensemble"
     lower, lower_method = _lower_bound(offdiag)
     cert = RankCertificate(lower, upper, lower_method, upper_method, witness)
-    return _settled(cert, size), _l1_bound(offdiag)
+    return _settled(cert, 2**n), _l1_bound(offdiag)
 
 
 def regularized_cost_bounds(alpha: float) -> tuple[float, float]:
@@ -414,8 +410,8 @@ class CostReport:
 def cost_report(alpha: float, n: int = 1) -> CostReport:
     """Assemble the zero-error / regularized / asymptotic cost chain.
 
-    The rank comes from omega_power_certificate, so no 2**n x 2**n matrix is
-    formed and n is bounded by 2**n <= dim_cap()**2.
+    The rank comes from omega_power_certificate, so nothing 2**n-sized is
+    formed and n is held to MAX_COPIES (alpha = 0 needs no rank).
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {alpha}")

@@ -23,8 +23,8 @@ from .decompositions import (
     InfeasiblePairEnsembleError,
     dual_flag_ensemble,
     power_pair_feasible,
-    power_pair_members,
     power_pair_witness,
+    require_copies,
     verify_ensemble,
 )
 from .kernel import DimensionCapError, dim_cap, tensor_power, validate_density_matrix
@@ -104,7 +104,7 @@ def sweep_rows(alpha_min: float, alpha_max: float, steps: int, n_max: int) -> li
                 _fmt(alpha),
                 str(n),
                 str(rep.l1_lower),
-                "true" if power_pair_feasible(alpha, n) else "false",
+                "true" if alpha == 0.0 or power_pair_feasible(alpha, n) else "false",
                 str(rep.certified_rank) if certified else "",
                 _fmt(rep.zero_error) if certified else "",
                 _fmt(rep.regularized_lower),
@@ -124,6 +124,8 @@ def cmd_nonadd(args: argparse.Namespace) -> int:
         raise ValueError(f"steps must be >= 1, got {args.steps}")
     if args.n_max < 1:
         raise ValueError(f"n-max must be >= 1, got {args.n_max}")
+    if args.alpha_max > 0.0:  # the sweep would fail at the first n past the limit
+        require_copies(args.n_max)
     rows = sweep_rows(args.alpha_min, args.alpha_max, args.steps, args.n_max)
     _emit("\n".join([CSV_HEADER, *rows]) + "\n", args.out)
     return 0
@@ -135,7 +137,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
             raise ValueError("omega-power decomposition needs --alpha and --n")
         params = {"alpha": args.alpha, "n": args.n}
         try:
-            members = power_pair_members(args.alpha, args.n)
+            ens = power_pair_witness(args.alpha, args.n)  # n + 2 numbers
         except InfeasiblePairEnsembleError as exc:
             _emit_json(
                 {
@@ -147,24 +149,21 @@ def cmd_decompose(args: argparse.Namespace) -> int:
                 args.out,
             )
             return 2
-        # The document lists every member densely: refuse before building
+        # The document lists every member densely: refuse before expanding
         # anything when it would hold more than dim_cap()**2 amplitudes.
-        limit, size = dim_cap(), 2**args.n
+        limit, size, members = dim_cap(), 2**args.n, ens.__len__()  # len() stops at sys.maxsize
         if members * size > limit**2:
             raise DimensionCapError(
                 f"decompose output of {members} members x {size} amplitudes "
                 f"exceeds cap {limit}**2"
             )
-        ens = power_pair_witness(args.alpha, args.n)
         target = tensor_power(noisy_max_coherent(args.alpha), args.n)
-    elif args.family == "rho-d":
+    else:  # rho-d, the one other choice the parser admits
         if args.d is None:
             raise ValueError("rho-d decomposition needs --d")
         params = {"d": args.d}
         ens = dual_flag_ensemble(args.d)
         target = fourier_flag_mixture(args.d)
-    else:
-        raise ValueError(f"unknown family {args.family!r}")
     report = verify_ensemble(ens, target)
     doc = {"family": args.family, "params": params, "feasible": True}
     doc.update(ensemble_to_json(ens, report))  # members are generated as they are written
@@ -200,16 +199,11 @@ def cmd_dio(args: argparse.Namespace) -> int:
 
 def cmd_cost(args: argparse.Namespace) -> int:
     rep = cost_report(args.alpha, args.n)
-    zero_error: float | list[float]
-    if isinstance(rep.zero_error, tuple):
-        zero_error = list(rep.zero_error)
-    else:
-        zero_error = rep.zero_error
     _emit_json(
         {
             "alpha": rep.alpha,
             "n": rep.n,
-            "zero_error": zero_error,
+            "zero_error": rep.zero_error,  # a bracket is a tuple, written as a list
             "regularized_lower": rep.regularized_lower,
             "regularized_upper": rep.regularized_upper,
             "asymptotic_ec": rep.asymptotic_ec,
@@ -277,9 +271,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if code == 0 else 3
     try:
         return args.func(args)
-    except InfeasiblePairEnsembleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -3,16 +3,17 @@
 Two ensemble types share one interface (target_dim, weights, len, members,
 reconstruction, max_member_rank, lifted): WeightedEnsemble stores dense
 amplitude rows, OrbitWitness stores the two-level pair witness of the noisy
-coherent powers with one weight per XOR class. Both lift to the maximally
-correlated block by a label map (|i> -> |ii>), with no lifted rows stored.
-verify_ensemble checks any ensemble against a dense target; verify_orbit
-checks an OrbitWitness against an XOR-structured target in O(n 2**n), with
-no dense matrix.
+coherent powers with one weight per Hamming distance. Both lift to the
+maximally correlated block by a label map (|i> -> |ii>), with no lifted rows
+stored. verify_ensemble checks any ensemble against a dense target;
+verify_orbit checks an OrbitWitness against a target given by Hamming
+distance in O(n**2), with no 2**n-sized array.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,18 +22,21 @@ from .kernel import (
     DimensionCapError,
     _require_finite,
     as_complex_matrix,
+    binomials,
     dim_cap,
-    require_amplitude_budget,
-    walsh_hadamard,
+    krawtchouk,
 )
 from .states import TAU_AMP, fourier_flag_dual, mc_labels, mc_lift
 
-# Members whose weight falls at or below cutoff/size are dropped as exact zeros.
+# Basis members are dropped as exact zeros when the missing diagonal mass they
+# share, 2**n times each one's weight, is at or below this.
 WEIGHT_CUTOFF = 1e-12
 # Amplitude of each level in a two-level member (|i> + |j>)/sqrt(2).
 PAIR_AMP = 1.0 / math.sqrt(2)
 # An ensemble verifies when its mixture is within this trace distance of the target.
 TOL_RECON = 1e-9
+# Largest copy count: up to it 2**n, (1 + alpha)**n <= 2**n and each C(n, w) are finite doubles.
+MAX_COPIES = sys.float_info.max_exp - 1
 
 
 class InfeasiblePairEnsembleError(Exception):
@@ -77,10 +81,20 @@ class WeightedEnsemble(_LabelLift):
     states: np.ndarray
     lift: bool = False
 
+    def __post_init__(self):
+        dtype = complex if np.iscomplexobj(self.states) else float
+        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        object.__setattr__(self, "states", np.asarray(self.states, dtype=dtype))
+
     @property
     def target_dim(self) -> int:
         size = self.states.shape[1]
         return size * size if self.lift else size
+
+    def check_finite(self) -> None:
+        """Raise the non-finite ValueError on a NaN or inf weight or amplitude."""
+        _require_finite(self.weights, "ensemble weights")
+        _require_finite(self.states, "ensemble amplitudes")
 
     def __len__(self) -> int:
         return self.weights.size
@@ -110,44 +124,58 @@ class WeightedEnsemble(_LabelLift):
 
 @dataclass(frozen=True)
 class OrbitWitness(_LabelLift):
-    """The rank-2 pair witness stored by XOR class, never as amplitude rows.
+    """The rank-2 pair witness stored by Hamming distance, never as amplitude rows.
 
     For every unordered pair {i, j} of distinct labels of a 2**n-dim space,
-    the member (|i> + |j>)/sqrt(2) enters with weight class_weights[i ^ j]
-    (entry 0 is ignored); then, when keep_basis, every label enters as a
-    basis state with weight residual. Members are listed pairs-first in
-    lexicographic (i, j) order, then basis states ascending, and built one at
-    a time, so storage is O(2**n) where the member list is O(4**n). With
-    lift, label i stands for |ii> of the 4**n-dim maximally correlated lift.
+    the member (|i> + |j>)/sqrt(2) enters with weight
+    distance_weights[popcount(i ^ j)] / 2**n (entry 0 is ignored); then, when
+    keep_basis, every label enters as a basis state with weight
+    residual / 2**n. Kept times 2**n, the n + 2 numbers stay normal doubles
+    up to MAX_COPIES. Members are listed pairs-first in lexicographic (i, j)
+    order, then basis states ascending; only members(), weights and
+    reconstruction() expand the 2**n classes. With lift, label i stands for
+    |ii> of the 4**n-dim maximally correlated lift.
     """
 
-    class_weights: np.ndarray
+    distance_weights: np.ndarray
     residual: float
     keep_basis: bool
     lift: bool = False
 
     @property
+    def n(self) -> int:
+        """Copy count: the witness acts on 2**n labels."""
+        return self.distance_weights.size - 1
+
+    @property
     def target_dim(self) -> int:
-        size = self.class_weights.size
-        return size * size if self.lift else size
+        return 4**self.n if self.lift else 2**self.n
+
+    def check_finite(self) -> None:
+        """Raise the non-finite ValueError on a NaN or inf stored number (index n + 1: the residual)."""
+        _require_finite(np.append(self.distance_weights, self.residual), "witness weights")
+
+    def _class_weights(self) -> np.ndarray:
+        """Pair weight by XOR class k = i ^ j (entry 0 unused): 2**n numbers."""
+        return np.ldexp(self.distance_weights, -self.n)[np.bitwise_count(np.arange(2**self.n))]
 
     @property
     def weights(self) -> np.ndarray:
         """All member weights, pairs first, in member order (O(4**n))."""
-        size = self.class_weights.size
+        size = 2**self.n
         rows, cols = np.triu_indices(size, k=1)
-        basis = np.full(size if self.keep_basis else 0, self.residual)
-        return np.concatenate([self.class_weights[rows ^ cols], basis])
+        basis = np.full(size if self.keep_basis else 0, math.ldexp(self.residual, -self.n))
+        return np.concatenate([self._class_weights()[rows ^ cols], basis])
 
     def __len__(self) -> int:
-        size = self.class_weights.size
+        size = 2**self.n
         return size * (size - 1) // 2 + (size if self.keep_basis else 0)
 
     def members(self):
         """Iterate (weight, amplitude-vector) pairs, building one dense vector at a time."""
-        size, dim = self.class_weights.size, self.target_dim
+        size, dim = 2**self.n, self.target_dim
         labels = (mc_labels(size) if self.lift else np.arange(size)).tolist()
-        weights = self.class_weights.tolist()
+        weights = self._class_weights().tolist()
         for i, label_i in enumerate(labels):
             for j in range(i + 1, size):
                 psi = np.zeros(dim)
@@ -157,19 +185,18 @@ class OrbitWitness(_LabelLift):
             for label in labels:
                 psi = np.zeros(dim)
                 psi[label] = 1.0
-                yield self.residual, psi
+                yield math.ldexp(self.residual, -self.n), psi
 
     def row(self) -> np.ndarray:
-        """XOR row of the unlifted mixture, from the member semantics alone.
+        """2**n times the unlifted mixture by Hamming distance, from the member semantics alone.
 
-        Pair {i, i ^ k} puts w_k/2 on (i, i ^ k), on (i ^ k, i) and on both
-        diagonal entries, and every label lies in exactly one pair of each
-        class k != 0. So the mixture is M[i, j] = row[i ^ j] with
-        row[k] = w_k/2 for k != 0 and row[0] = sum_k w_k/2 plus the residual
-        of the basis members.
+        Pair {i, j} puts half its weight on (i, j), (j, i) and both diagonal
+        entries, and every label lies in C(n, w) pairs at distance w. So
+        row[w] = distance_weights[w] / 2 for w > 0, and row[0], the trace and
+        weight sum, is sum_w C(n, w) row[w] plus the basis residual.
         """
-        row = 0.5 * self.class_weights
-        row[0] = row[1:].sum() + (self.residual if self.keep_basis else 0.0)
+        row = 0.5 * self.distance_weights
+        row[0] = float(binomials(self.n)[1:] @ row[1:]) + (self.residual if self.keep_basis else 0.0)
         return row
 
     def reconstruction(self) -> np.ndarray:
@@ -178,22 +205,22 @@ class OrbitWitness(_LabelLift):
         O(4**n) (O(16**n) lifted); it does not go through row(), so the dense
         oracle checks the member semantics on its own.
         """
-        size = self.class_weights.size
+        size = 2**self.n
         rows, cols = np.triu_indices(size, k=1)
-        half = 0.5 * self.class_weights[rows ^ cols]
+        half = 0.5 * self._class_weights()[rows ^ cols]
         # (|i> + |j>)(<i| + <j|)/2 puts w/2 on (i, j), (j, i), (i, i) and (j, j).
         off = np.bincount(rows * size + cols, half, size * size).reshape(size, size)
         recon = off + off.T
         recon.flat[:: size + 1] += (
             np.bincount(rows, half, size)
             + np.bincount(cols, half, size)
-            + (self.residual if self.keep_basis else 0.0)
+            + (math.ldexp(self.residual, -self.n) if self.keep_basis else 0.0)
         )
         return mc_lift(recon) if self.lift else recon
 
     def max_member_rank(self) -> int:
         """2 if any pair member is present, else 1 if any basis member is."""
-        return 2 if self.class_weights.size > 1 else int(self.keep_basis)
+        return 2 if self.n else int(self.keep_basis)
 
 
 Ensemble = WeightedEnsemble | OrbitWitness
@@ -207,60 +234,54 @@ class EnsembleReport:
     feasible: bool
 
 
+def require_copies(n: int) -> None:
+    """The one copy-count check, ValueError unless 1 <= n <= MAX_COPIES: on integers,
+    so a huge n is refused at once, before any 2**n, (1+alpha)**n or binomial."""
+    if n < 1:
+        raise ValueError(f"copy count must be >= 1, got {n}")
+    if n > MAX_COPIES:
+        raise ValueError(f"copy count {n} exceeds {MAX_COPIES}, the largest n with 2**n a finite double")
+
+
 def power_pair_feasible(alpha: float, n: int) -> bool:
     """Whether the two-level ensemble for the n-fold noisy coherent power closes.
 
     The test is on the total missing diagonal mass 2 - (1+alpha)**n, so a
     feasible witness always passes the 1e-9 weight-sum check of
-    verify_ensemble, whatever n.
+    verify_ensemble, whatever n. ValueError for a copy count require_copies
+    refuses or a non-finite alpha; a (1+alpha)**n past the doubles is False.
     """
-    return 2.0 - (1.0 + alpha) ** n >= -WEIGHT_CUTOFF
+    require_copies(n)
+    if not math.isfinite(alpha):
+        raise ValueError(f"mixing parameter must be finite, got {alpha}")
+    try:
+        return 2.0 - (1.0 + alpha) ** n >= -WEIGHT_CUTOFF
+    except OverflowError:
+        return False
 
 
 def _pair_residual(alpha: float, n: int) -> float:
-    """Validate the pair-ensemble parameters; return the per-basis-state residual weight.
-
-    The witness is O(2**n), so 2**n is held to the amplitude budget
-    dim_cap()**2 before anything is built.
-    """
+    """Validate the parameters; return the missing diagonal mass 2 - (1+alpha)**n."""
     if alpha <= 0.0:
         raise ValueError(f"mixing parameter must be positive, got {alpha}")
-    if n < 1:
-        raise ValueError(f"copy count must be >= 1, got {n}")
-    require_amplitude_budget(n, "ensemble")
     if not power_pair_feasible(alpha, n):
         raise InfeasiblePairEnsembleError(alpha, n)
-    return (2.0 - (1.0 + alpha) ** n) / 2**n
-
-
-def _keeps_basis(residual: float, size: int) -> bool:
-    return residual > WEIGHT_CUTOFF / size
-
-
-def power_pair_members(alpha: float, n: int) -> int:
-    """Member count of power_pair_witness(alpha, n), without building it; raises like it."""
-    residual = _pair_residual(alpha, n)
-    size = 2**n
-    return size * (size - 1) // 2 + (size if _keeps_basis(residual, size) else 0)
+    return 2.0 - (1.0 + alpha) ** n
 
 
 def power_pair_witness(alpha: float, n: int) -> OrbitWitness:
     """Orbit form of power_pair_ensemble: same members, order and weights.
 
-    The pair {i, j} has weight 2 * alpha**hamming(i, j) / 2**n, which depends
-    only on the class k = i ^ j, so one weight per class (n + 1 distinct
-    values, gathered by popcount) and the basis residual
-    (2 - (1+alpha)**n) / 2**n are stored, in O(2**n) memory instead of the
-    dense oracle's O(8**n). Raises like power_pair_ensemble, except that the
-    dimension is held to dim_cap()**2 rather than dim_cap().
+    The pair {i, j} has weight 2 * alpha**popcount(i ^ j) / 2**n, so n + 1
+    weights and the basis residual (2 - (1+alpha)**n) / 2**n are stored,
+    times 2**n. Raises like power_pair_ensemble, except that n is held to
+    MAX_COPIES rather than 2**n to dim_cap().
     """
     residual = _pair_residual(alpha, n)
-    size = 2**n
-    by_weight = 2.0 * alpha ** np.arange(n + 1, dtype=float) / size
     return OrbitWitness(
-        class_weights=by_weight[np.bitwise_count(np.arange(size, dtype=np.min_scalar_type(size - 1)))],
+        distance_weights=2.0 * alpha ** np.arange(n + 1, dtype=float),
         residual=residual,
-        keep_basis=_keeps_basis(residual, size),
+        keep_basis=residual > WEIGHT_CUTOFF,
     )
 
 
@@ -279,18 +300,16 @@ def power_pair_ensemble(alpha: float, n: int) -> WeightedEnsemble:
     states ascending. The rows are dense, O(8**n) memory: this is the
     reference that tests compare power_pair_witness against.
     """
-    residual = _pair_residual(alpha, n)
+    mass = _pair_residual(alpha, n)
     size = 2**n
     limit = dim_cap()
     if size > limit:
         raise DimensionCapError(f"ensemble dimension {size} exceeds cap {limit}")
 
-    labels = np.arange(size)
-    hamming = np.bitwise_count(np.bitwise_xor.outer(labels, labels))
     rows, cols = np.triu_indices(size, k=1)
-    pair_weights = 2.0 * alpha ** hamming[rows, cols].astype(float) / size
+    pair_weights = 2.0 * alpha ** np.bitwise_count(rows ^ cols).astype(float) / size
 
-    keep_basis = _keeps_basis(residual, size)
+    keep_basis = mass > WEIGHT_CUTOFF
     n_pairs = rows.size
     total = n_pairs + (size if keep_basis else 0)
     states = np.zeros((total, size))
@@ -300,7 +319,7 @@ def power_pair_ensemble(alpha: float, n: int) -> WeightedEnsemble:
     weights[:n_pairs] = pair_weights
     if keep_basis:
         states[n_pairs:, :] = np.eye(size)
-        weights[n_pairs:] = residual
+        weights[n_pairs:] = mass / size
     return WeightedEnsemble(weights=weights, states=states)
 
 
@@ -324,9 +343,11 @@ def verify_ensemble(ens: Ensemble, target) -> EnsembleReport:
     largest member coherence rank, and the weight sum. The ensemble is
     feasible when the distance is within TOL_RECON, no weight dips below
     -1e-12, and the weights sum to 1 within 1e-9. Each ensemble type supplies
-    its own reconstruction and member rank. A difference with no imaginary
-    part is a real symmetric matrix with the same spectrum, and the real
-    eigensolver finds it about three times faster than the complex one.
+    its own reconstruction and member rank. The target and the stored weights
+    and amplitudes are scanned first, so a NaN or inf raises the non-finite
+    ValueError rather than reaching the reconstruction. A difference with no
+    imaginary part is a real symmetric matrix with the same spectrum, and the
+    real eigensolver finds it about three times faster than the complex one.
     """
     target = as_complex_matrix(target)
     if ens.target_dim != target.shape[0]:
@@ -334,6 +355,7 @@ def verify_ensemble(ens: Ensemble, target) -> EnsembleReport:
             f"ensemble dimension {ens.target_dim} != target {target.shape[0]}"
         )
     _require_finite(target, "target")
+    ens.check_finite()
     diff = ens.reconstruction() - target
     if not diff.imag.any():
         diff = diff.real
@@ -343,32 +365,29 @@ def verify_ensemble(ens: Ensemble, target) -> EnsembleReport:
 
 
 def verify_orbit(witness: OrbitWitness, target_row) -> EnsembleReport:
-    """verify_ensemble for an orbit witness against the target M[i, j] = target_row[i ^ j].
+    """verify_ensemble for an orbit witness against M[i, j] = target_row[popcount(i ^ j)] / 2**n.
 
-    Both the target and witness.row() are XOR rows, and every matrix of that
-    form has the Hadamard rows as eigenvectors with the Walsh-Hadamard
-    transform of its row as eigenvalues. So the trace distance is half the
-    l1 norm of the transform of witness.row() - target_row: exact, in
-    O(n 2**n), with no dense matrix. The weight sum and smallest weight come
-    from the classes (2**(n-1) pairs each) and the basis residual, and
-    feasibility is decided as in verify_ensemble.
+    target_row is on the scale of witness.row(). A matrix of that form has
+    the Hadamard rows of weight v as eigenvectors, with eigenvalue
+    krawtchouk(row)[v] / 2**n of multiplicity C(n, v). So the trace distance
+    is 1/2 sum_v C(n, v) |krawtchouk(witness.row() - target_row)[v]| / 2**n:
+    exact, in O(n**2). The weight sum is row()[0], the smallest weight is
+    read off the n + 2 stored ones, and feasibility is decided as in
+    verify_ensemble.
     """
     target_row = np.asarray(target_row, dtype=float)
-    size = witness.class_weights.size
-    if witness.lift or target_row.shape != (size,):
-        raise ValueError(
-            f"orbit witness of dimension {witness.target_dim} does not match "
-            f"a target row of shape {target_row.shape}"
-        )
-    spectrum = walsh_hadamard(witness.row() - target_row)
-    distance = 0.5 * float(np.abs(spectrum, out=spectrum).sum())
-    pair_weights = witness.class_weights[1:]
-    weight_sum = 0.5 * size * float(pair_weights.sum())
-    lowest = float(pair_weights.min(initial=math.inf))
-    if witness.keep_basis:
-        weight_sum += size * witness.residual
-        lowest = min(lowest, witness.residual)
-    return _report(distance, witness.max_member_rank(), weight_sum, lowest)
+    n = witness.n
+    if witness.lift or target_row.shape != (n + 1,):
+        dim = witness.target_dim
+        raise ValueError(f"witness of dimension {dim} does not match target row shape {target_row.shape}")
+    _require_finite(target_row, "target row")
+    witness.check_finite()
+    row = witness.row()
+    share = np.ldexp(binomials(n), -n)  # C(n, v) / 2**n, the eigenvalue multiplicities scaled
+    distance = 0.5 * float(share @ np.abs(krawtchouk(row - target_row)))
+    basis = witness.residual if witness.keep_basis else math.inf
+    lowest = float(witness.distance_weights[1:].min(initial=basis))
+    return _report(distance, witness.max_member_rank(), float(row[0]), math.ldexp(lowest, -n))
 
 
 def _report(distance: float, max_rank: int, weight_sum: float, lowest: float) -> EnsembleReport:

@@ -8,6 +8,7 @@ across parallel workers.
 from __future__ import annotations
 
 import os
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,18 +32,6 @@ def dim_cap() -> int:
     """Active dimension cap; the COHRANK_DIM_CAP env var overrides the default."""
     raw = os.environ.get(DIM_CAP_ENV)
     return int(raw) if raw else DEFAULT_DIM_CAP
-
-
-def require_amplitude_budget(n: int, what: str) -> None:
-    """Raise DimensionCapError when a length-2**n vector exceeds dim_cap()**2.
-
-    Structured paths that store O(2**n) numbers instead of a dense
-    2**n x 2**n matrix are bounded by this amplitude budget; the comparison
-    is on bit lengths, so a huge n costs nothing to refuse.
-    """
-    limit = dim_cap()
-    if n >= (limit * limit).bit_length():
-        raise DimensionCapError(f"{what} dimension 2**{n} exceeds cap {limit}**2")
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -103,25 +92,48 @@ def spectrum(m) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
-def walsh_hadamard(f) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of a real vector of length 2**n.
+def _binomial_ints(n: int) -> list[int]:
+    """C(n, w) for w = 0..n, exact."""
+    return list(accumulate(range(n), lambda c, w: c * (n - w) // (w + 1), initial=1))
 
-    Entry s is sum_k f[k] (-1)**popcount(s & k), in n butterfly passes over
-    one copy. It is the spectrum of the matrix M[i, j] = f[i ^ j]: every such
-    matrix has the Hadamard rows as eigenvectors.
+
+def binomials(n: int) -> np.ndarray:
+    """C(n, w) for w = 0..n as floats, each rounded once from its exact integer."""
+    return np.array(_binomial_ints(n), dtype=float)
+
+
+def binomial_sum(f) -> float:
+    """sum_w C(n, w) f[w] for a finite vector f of length n + 1, summed exactly, rounded once.
+
+    It is the sum of a row of M[i, j] = f[popcount(i ^ j)], an integer over a power
+    of two that Python's division rounds correctly: with f = 1 it is 2**n, whatever n.
     """
-    out = np.array(f, dtype=float)
-    if out.ndim != 1 or out.size & (out.size - 1):
-        raise ValueError(f"expected a vector of length 2**n, got shape {out.shape}")
-    half = 1
-    while half < out.size:
-        pairs = out.reshape(-1, 2, half)
-        top, bottom = pairs[:, 0], pairs[:, 1]
-        total = top + bottom
-        np.subtract(top, bottom, out=bottom)
-        top[...] = total
-        half *= 2
-    return out
+    ratios = [x.as_integer_ratio() for x in np.asarray(f, dtype=float).tolist()]
+    scale = max(q for _, q in ratios)  # each q is a power of two, so scale // q is exact
+    counts = _binomial_ints(len(ratios) - 1)
+    return sum(c * p * (scale // q) for c, (p, q) in zip(counts, ratios)) / scale
+
+
+def krawtchouk(f) -> np.ndarray:
+    """Krawtchouk transform of a real vector f of length n + 1, in O(n**2).
+
+    Entry v is sum_w K_w(v) f[w], with K_w(v) the coefficient of z**w in
+    (1 + z)**(n - v) (1 - z)**v: the eigenvalue of M[i, j] = f[popcount(i ^ j)]
+    at every Hadamard row of weight v, C(n, v) of them (the Hamming scheme).
+    The table holds K_w(v) / C(n, w), in [-1, 1], from its three-term
+    recurrence in v up to n/2, where it is stable, and K_w(n - v) =
+    (-1)**w K_w(v) beyond.
+    """
+    f = np.asarray(f, dtype=float)
+    n = f.size - 1
+    w = np.arange(n + 1)
+    table = np.zeros((n + 1, n + 1))
+    table[0] = 1.0
+    for v in range(n // 2):  # at v = 0, row v - 1 is the last row, still zero
+        table[v + 1] = ((n - 2 * w) * table[v] - v * table[v - 1]) / (n - v)
+    beyond = np.arange(n // 2 + 1, n + 1)
+    table[beyond] = table[n - beyond] * (-1.0) ** w
+    return table @ (binomials(n) * f)
 
 
 def partial_transpose(m, dim_a: int, dim_b: int) -> np.ndarray:

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from itertools import islice
+from dataclasses import asdict
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -102,6 +103,15 @@ class Rows:
     def __init__(self, blocks: Callable[[], Iterable[dict]]):
         self.blocks = blocks
 
+    def __iter__(self):
+        """The objects one at a time, as plain dicts of JSON values."""
+        for block in self.blocks():
+            columns = [
+                _floats(c).tolist() if isinstance(c, np.ndarray) else repeat(c) for c in block.values()
+            ]
+            for values in zip(*columns):
+                yield dict(zip(block, values))
+
 
 def _member_blocks(ens: Ensemble):
     members = ens.members()
@@ -119,12 +129,7 @@ def ensemble_to_json(ens: Ensemble, report: EnsembleReport | None = None) -> dic
     """Lazy document for write_json: members are built MEMBER_BLOCK at a time, on write."""
     doc: dict = {"target_dim": ens.target_dim, "members": Rows(lambda: _member_blocks(ens))}
     if report is not None:
-        doc["report"] = {
-            "reconstruction_trace_distance": report.reconstruction_trace_distance,
-            "max_member_rank": report.max_member_rank,
-            "weight_sum": report.weight_sum,
-            "feasible": report.feasible,
-        }
+        doc["report"] = asdict(report)
     return doc
 
 

@@ -12,7 +12,6 @@ from .kernel import (
     _require_finite,
     as_complex_matrix,
     dim_cap,
-    require_amplitude_budget,
 )
 
 # Amplitudes at or below this modulus count as structural zeros when ranking.
@@ -41,26 +40,6 @@ def noisy_max_coherent(alpha: float) -> np.ndarray:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"mixing parameter must lie in [0, 1], got {alpha}")
     return np.array([[0.5, alpha / 2.0], [alpha / 2.0, 0.5]], dtype=complex)
-
-
-def noisy_power_row(alpha: float, n: int) -> np.ndarray:
-    """XOR row of the n-fold power of noisy_max_coherent(alpha).
-
-    The power has <i|rho|j> = row[i ^ j] with row[k] = alpha**popcount(k) / 2**n,
-    built as the Kronecker power of (1/2, alpha/2), so the 2**n entries
-    determine all 4**n. Raises DimensionCapError when 2**n exceeds
-    dim_cap()**2.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"mixing parameter must lie in [0, 1], got {alpha}")
-    if n < 1:
-        raise ValueError(f"copy count must be >= 1, got {n}")
-    require_amplitude_budget(n, "noisy power")
-    factor = np.array([0.5, alpha / 2.0])
-    row = factor
-    for _ in range(n - 1):
-        row = np.kron(row, factor)
-    return row
 
 
 def fourier_flag_state(d: int, k: int) -> np.ndarray:

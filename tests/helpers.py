@@ -24,6 +24,34 @@ def random_pure(rng, dim):
     return v / np.linalg.norm(v)
 
 
+def walsh_hadamard(f) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a real vector of length 2**n.
+
+    Entry s is sum_k f[k] (-1)**popcount(s & k), in n butterfly passes over
+    one copy. It is the spectrum of the matrix M[i, j] = f[i ^ j]: every such
+    matrix has the Hadamard rows as eigenvectors. The oracle for
+    cohrank.krawtchouk on rows that depend on popcount(k) alone.
+    """
+    out = np.array(f, dtype=float)
+    if out.ndim != 1 or out.size & (out.size - 1):
+        raise ValueError(f"expected a vector of length 2**n, got shape {out.shape}")
+    half = 1
+    while half < out.size:
+        pairs = out.reshape(-1, 2, half)
+        top, bottom = pairs[:, 0], pairs[:, 1]
+        total = top + bottom
+        np.subtract(top, bottom, out=bottom)
+        top[...] = total
+        half *= 2
+    return out
+
+
+def xor_row(distance_row):
+    """The 2**n-long XOR row k -> distance_row[popcount(k)] of a row by Hamming distance."""
+    distance_row = np.asarray(distance_row)
+    return distance_row[np.bitwise_count(np.arange(2 ** (distance_row.size - 1)))]
+
+
 def covariance_violation_loop(choi, din, dout):
     """Dense oracle for covariance_report: apply the channel to each of the
     din^2 matrix units and take the largest trace-norm mismatch between

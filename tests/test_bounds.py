@@ -259,6 +259,12 @@ class TestRankCertificate:
             plain.lower, plain.upper, plain.lower_method, plain.upper_method
         )
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_non_finite_alpha_hint_is_dropped(self, alpha):
+        rho = noisy_power(0.1, 2)
+        cert = rank_certificate(rho, "omega-power", alpha=alpha, n=2)
+        assert cert.upper_method == rank_certificate(rho).upper_method == "eigenvector-ensemble"
+
     def test_wrong_flag_hint_does_not_poison_lower_bound(self):
         diag = np.diag([0.5, 0.5] + [0.0] * 4).astype(complex)
         cert = rank_certificate(diag, "rho-d", d=3)  # dims match, content does not

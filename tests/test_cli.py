@@ -17,6 +17,7 @@ from cohrank import (
     noisy_max_coherent,
     serialize,
 )
+from cohrank.bounds import cost_report
 from cohrank.cli import CSV_HEADER, main
 from cohrank.kernel import DimensionCapError
 from cohrank.serialize import (
@@ -280,6 +281,28 @@ class TestDecompose:
         code, out = run(base + ["--n", "4"], capsys)  # 136 x 16 <= 64**2
         assert code == 0 and len(json.loads(out)["members"]) == 136
         assert main(base + ["--n", "5"]) == 3  # 528 x 32 > 64**2
+
+    @pytest.mark.parametrize("n", [25, 40, 1023])
+    def test_output_budget_refuses_member_counts_past_sys_maxsize(self, n, capsys):
+        """2**(2n-1) members at n >= 32 cannot be a len(); the cap still refuses them."""
+        assert main(["decompose", "--family", "omega-power", "--alpha", "1e-4", "--n", str(n)]) == 3
+        assert "amplitudes exceeds cap 4096**2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "NaN", "Infinity"])
+    def test_non_finite_alpha_exits_3(self, alpha, tmp_path, capsys):
+        """It used to exit 2 with "alpha": NaN or Infinity, which is not JSON."""
+        out = tmp_path / "ens.json"
+        args = ["decompose", "--family", "omega-power", "--alpha", alpha, "--n", "3"]
+        assert main(args + ["--out", str(out)]) == 3
+        assert "mixing parameter must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["1.5", "1e300"])
+    def test_alpha_above_one_keeps_its_infeasible_document(self, alpha, capsys):
+        code, out = run(["decompose", "--family", "omega-power", "--alpha", alpha,
+                         "--n", "3"], capsys)
+        assert code == 2
+        assert json.loads(out)["params"]["alpha"] == float(alpha)
 
     def test_output_budget_keeps_infeasible_document(self, capsys):
         code, out = run(
@@ -571,17 +594,46 @@ class TestCost:
     def test_out_of_range_exits_3(self, capsys):
         assert main(["cost", "--alpha", "1.5"]) == 3
 
-    @pytest.mark.parametrize("n", ["25", "1000000000000"])
-    def test_copies_beyond_the_amplitude_budget_exit_3(self, n, capsys):
+    @pytest.mark.parametrize("n", ["1024", "1000000000000"])
+    def test_copies_beyond_the_limit_exit_3(self, n, capsys):
+        """The copy limit MAX_COPIES = 1023 is compared as an integer first."""
         assert main(["cost", "--alpha", "0.01", "--n", n]) == 3
-        assert "exceeds cap" in capsys.readouterr().err
+        assert f"copy count {n} exceeds 1023" in capsys.readouterr().err
+        assert main(["nonadd", "--alpha-min", "0.01", "--n-max", n]) == 3
+        assert f"copy count {n} exceeds 1023" in capsys.readouterr().err
 
-    def test_amplitude_budget_follows_dim_cap(self, monkeypatch, capsys):
+    def test_alpha_zero_needs_no_copy_limit(self, capsys):
+        """alpha = 0 needs no rank, so these stay admitted, as they were."""
+        code, out = run(["cost", "--alpha", "0", "--n", "2000"], capsys)
+        assert code == 0 and json.loads(out)["zero_error"] == 0.0
+        code, out = run(["nonadd", "--alpha-max", "0", "--n-max", "1030"], capsys)
+        assert code == 0 and out.splitlines()[-1].startswith("0,1030,1,true,1,0,")
+
+    def test_copy_limit_ignores_dim_cap(self, monkeypatch, capsys):
         monkeypatch.setenv("COHRANK_DIM_CAP", "8")
-        code, out = run(["cost", "--alpha", "0.1", "--n", "6"], capsys)  # 2**6 = 8**2
-        assert code == 0 and json.loads(out)["zero_error"] == pytest.approx(1 / 6)
-        assert main(["cost", "--alpha", "0.1", "--n", "7"]) == 3
-        assert "exceeds cap 8**2" in capsys.readouterr().err
+        code, out = run(["cost", "--alpha", "0.1", "--n", "7"], capsys)  # 2**7 > 8**2
+        assert code == 0 and json.loads(out)["zero_error"] == pytest.approx(1 / 7)
+
+    @pytest.mark.parametrize("n", [25, 64, 256, 1023])
+    def test_copies_past_the_old_budget_certify(self, n, capsys):
+        """n = 25 .. 1023 exited 3 under the 2**n <= cap**2 budget; the weight
+        form certifies them, at 0.9x and exactly at the boundary."""
+        for alpha in (0.9 * (2 ** (1 / n) - 1), 2 ** (1 / n) - 1):
+            code, out = run(["cost", "--alpha", repr(alpha), "--n", str(n)], capsys)
+            assert code == 0 and json.loads(out)["zero_error"] == 1 / n
+        code, out = run(["cost", "--alpha", "1", "--n", str(n)], capsys)
+        assert code == 0 and json.loads(out)["zero_error"] == 1.0
+
+    def test_cost_report_at_n24_holds_no_2n_array(self):
+        """The parent's 2**24-long row alone was 128 MB; the weight form is O(n**2)."""
+        tracemalloc.start()
+        try:
+            rep = cost_report(0.9 * (2 ** (1 / 24) - 1), 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.certified_rank == 2
+        assert peak < 1_000_000
 
     def test_alpha_below_double_precision_exits_3(self, capsys):
         assert main(["cost", "--alpha", "1e-300"]) == 3

@@ -14,20 +14,25 @@ from cohrank import (
     max_coherent,
     mc_lift,
     mc_lift_vector,
+    WeightedEnsemble,
     noisy_max_coherent,
-    noisy_power_row,
     power_pair_ensemble,
     power_pair_feasible,
-    power_pair_members,
     power_pair_witness,
     tensor_power,
     verify_ensemble,
     verify_orbit,
 )
+from cohrank.decompositions import MAX_COPIES
 
 
 def noisy_power(alpha, n):
     return tensor_power(noisy_max_coherent(alpha), n)
+
+
+def power_row(alpha, n):
+    """2**n times the entries of omega(alpha)^(x)n by Hamming distance."""
+    return alpha ** np.arange(n + 1, dtype=float)
 
 
 class TestPowerPairEnsemble:
@@ -92,20 +97,23 @@ class TestOrbitWitness:
         witness = power_pair_witness(alpha, n)
         mixture = sum(w * np.outer(psi, psi) for w, psi in witness.members())
         labels = np.arange(2**n)
-        np.testing.assert_allclose(witness.row()[labels[:, None] ^ labels], mixture, atol=1e-15)
+        distance = np.bitwise_count(labels[:, None] ^ labels)
+        np.testing.assert_allclose(witness.row()[distance] / 2**n, mixture, atol=1e-15)
         np.testing.assert_allclose(witness.reconstruction(), mixture, atol=1e-15)
+        assert witness.row()[0] == pytest.approx(sum(w for w, _ in witness.members()), abs=1e-14)
 
     def test_storage_is_one_weight_per_class(self):
+        """One weight per class of the Hamming scheme, i.e. per distance w = 0..n."""
         witness = power_pair_witness(0.01, 10)
         assert isinstance(witness, OrbitWitness)
-        assert witness.class_weights.shape == (2**10,)
-        assert len(witness) == power_pair_members(0.01, 10) == 2**9 * (2**10 + 1)
+        assert witness.distance_weights.shape == (11,) and witness.n == 10
+        assert len(witness) == 2**9 * (2**10 + 1)
 
     def test_boundary_prunes_basis_members(self):
         witness = power_pair_witness(2 ** (1 / 3) - 1, 3)
         assert not witness.keep_basis
         assert len(witness) == 28
-        assert verify_orbit(witness, noisy_power_row(2 ** (1 / 3) - 1, 3)).feasible
+        assert verify_orbit(witness, power_row(2 ** (1 / 3) - 1, 3)).feasible
 
     def test_lift_moves_each_member_to_the_correlated_labels(self):
         base = power_pair_witness(0.3, 2)
@@ -118,13 +126,21 @@ class TestOrbitWitness:
         with pytest.raises(ValueError, match="already lifted"):
             lifted.lifted()
 
-    def test_budget_is_dim_cap_squared(self, monkeypatch):
+    def test_copy_limit_is_double_precision(self, monkeypatch):
+        """The witness holds n + 2 numbers whatever the cap; only the dense oracle
+        follows it. n is held to MAX_COPIES = 1023, where 2**n is the largest
+        finite power of two."""
         monkeypatch.setenv("COHRANK_DIM_CAP", "8")
-        assert power_pair_witness(0.01, 6).class_weights.size == 64
-        with pytest.raises(DimensionCapError, match="exceeds cap 8"):
-            power_pair_witness(0.01, 7)
+        assert power_pair_witness(0.01, 7).distance_weights.size == 8
         with pytest.raises(DimensionCapError, match="exceeds cap 8"):
             power_pair_ensemble(0.01, 4)
+        assert MAX_COPIES == 1023 and math.isfinite(2.0**MAX_COPIES)
+        witness = power_pair_witness(1e-4, MAX_COPIES)
+        assert witness.distance_weights.size == MAX_COPIES + 1
+        assert verify_orbit(witness, power_row(1e-4, MAX_COPIES)).feasible
+        for n in (MAX_COPIES + 1, 10**12):
+            with pytest.raises(ValueError, match=f"copy count {n} exceeds 1023"):
+                power_pair_witness(1e-4, n)
 
 
 class TestVerifyOrbit:
@@ -132,7 +148,7 @@ class TestVerifyOrbit:
     def test_matches_dense_verify_on_its_own_target(self, n):
         alpha = 0.7 * (2 ** (1 / n) - 1)
         witness = power_pair_witness(alpha, n)
-        fast = verify_orbit(witness, noisy_power_row(alpha, n))
+        fast = verify_orbit(witness, power_row(alpha, n))
         dense = verify_ensemble(witness, noisy_power(alpha, n))
         assert fast.feasible and dense.feasible
         assert fast.max_member_rank == dense.max_member_rank == 2
@@ -140,20 +156,20 @@ class TestVerifyOrbit:
         assert fast.weight_sum == pytest.approx(dense.weight_sum, abs=1e-14)
 
     @pytest.mark.parametrize(
-        "classes,shift",
-        [((1,), 1e-7), ((5,), -1e-7), ((1, 3), None)],
+        "distances,shift",
+        [((1,), 1e-7), ((2,), -1e-7), ((1, 2), None)],
         ids=["raised", "lowered", "swapped-weight-kept-sum"],
     )
-    def test_perturbed_class_weight_fails_both_paths(self, classes, shift):
+    def test_perturbed_class_weight_fails_both_paths(self, distances, shift):
         alpha, n = 0.05, 3
         witness = power_pair_witness(alpha, n)
-        weights = witness.class_weights.copy()
-        if shift is None:  # hamming weights 1 and 2: the sum holds, the mixture moves
-            weights[list(classes)] = weights[list(reversed(classes))]
+        weights = witness.distance_weights.copy()
+        if shift is None:  # C(3, 1) = C(3, 2) pairs per label: the sum holds, the mixture moves
+            weights[list(distances)] = weights[list(reversed(distances))]
         else:
-            weights[list(classes)] += shift
-        bad = replace(witness, class_weights=weights)
-        fast = verify_orbit(bad, noisy_power_row(alpha, n))
+            weights[list(distances)] += shift * 2**n  # stored times 2**n
+        bad = replace(witness, distance_weights=weights)
+        fast = verify_orbit(bad, power_row(alpha, n))
         dense = verify_ensemble(bad, noisy_power(alpha, n))
         assert not fast.feasible and not dense.feasible
         assert fast.reconstruction_trace_distance == pytest.approx(
@@ -163,15 +179,70 @@ class TestVerifyOrbit:
 
     def test_negative_residual_fails(self):
         witness = replace(power_pair_witness(0.05, 2), residual=-1e-9)
-        report = verify_orbit(witness, noisy_power_row(0.05, 2))
+        report = verify_orbit(witness, power_row(0.05, 2))
         assert not report.feasible
 
     def test_rejects_mismatched_or_lifted_witness(self):
         witness = power_pair_witness(0.1, 3)
         with pytest.raises(ValueError, match="does not match"):
-            verify_orbit(witness, noisy_power_row(0.1, 2))
+            verify_orbit(witness, power_row(0.1, 2))
         with pytest.raises(ValueError, match="does not match"):
-            verify_orbit(witness.lifted(), noisy_power_row(0.1, 3))
+            verify_orbit(witness.lifted(), power_row(0.1, 3))
+        with pytest.raises(ValueError, match="does not match"):
+            verify_orbit(witness, np.ones(8))  # a 2**n XOR row is no distance row
+
+
+class TestNonFiniteWitness:
+    """A NaN or inf stored weight or amplitude raises the non-finite ValueError
+    before any reconstruction, on the dense and the orbit path."""
+
+    def test_inf_amplitude_in_weighted_ensemble(self):
+        ens = WeightedEnsemble([0.5, 0.5], [[1, 0], [math.inf, 1]])
+        with pytest.raises(ValueError, match="non-finite .* first at index \\(1, 0\\)"):
+            verify_ensemble(ens, np.eye(2) / 2)
+
+    def test_nan_weight_in_weighted_ensemble(self):
+        ens = WeightedEnsemble(np.array([0.5, math.nan]), np.eye(2))
+        with pytest.raises(ValueError, match="ensemble weights has 1 non-finite"):
+            verify_ensemble(ens, np.eye(2) / 2)
+
+    @pytest.mark.parametrize("field,index", [("distance_weights", 2), ("residual", 3)])
+    def test_orbit_witness_scans_its_n_plus_two_numbers(self, field, index):
+        witness = power_pair_witness(0.1, 2)
+        if field == "residual":
+            bad = replace(witness, residual=math.inf)
+        else:
+            weights = witness.distance_weights.copy()
+            weights[index] = math.nan
+            bad = replace(witness, distance_weights=weights)
+        match = f"witness weights has 1 non-finite .* first at index \\({index},\\)"
+        with pytest.raises(ValueError, match=match):
+            verify_ensemble(bad, noisy_power(0.1, 2))
+        with pytest.raises(ValueError, match=match):
+            verify_orbit(bad, power_row(0.1, 2))
+
+    def test_non_finite_target_row(self):
+        with pytest.raises(ValueError, match="target row has 1 non-finite"):
+            verify_orbit(power_pair_witness(0.1, 2), [1.0, math.nan, 0.01])
+
+
+class TestCopyLimitAndAlpha:
+    @pytest.mark.parametrize("n", [MAX_COPIES + 1, 2000, 10**12])
+    def test_copies_beyond_the_limit_raise_at_once(self, n):
+        with pytest.raises(ValueError, match="exceeds 1023"):
+            power_pair_feasible(0.5, n)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_is_rejected(self, alpha):
+        with pytest.raises(ValueError, match="mixing parameter must be"):
+            power_pair_feasible(alpha, 3)
+        with pytest.raises(ValueError, match="mixing parameter must be"):
+            power_pair_witness(alpha, 3)
+
+    def test_power_past_the_doubles_is_infeasible(self):
+        assert not power_pair_feasible(1e300, 2)
+        with pytest.raises(InfeasiblePairEnsembleError):
+            power_pair_witness(1.5, MAX_COPIES)
 
 
 class TestDualFlagEnsemble:

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,10 +17,9 @@ from cohrank import (
     trace_norm,
     validate_density_matrix,
     validate_pure_state,
-    walsh_hadamard,
 )
-from cohrank.kernel import require_amplitude_budget
-from helpers import random_density, random_pure
+from cohrank.kernel import binomial_sum, binomials, krawtchouk
+from helpers import random_density, random_pure, walsh_hadamard, xor_row
 
 
 class TestDephase:
@@ -107,16 +109,46 @@ class TestWalshHadamard:
             walsh_hadamard(np.ones(shape))
 
 
-class TestAmplitudeBudget:
-    def test_budget_is_dim_cap_squared(self, monkeypatch):
-        monkeypatch.setenv("COHRANK_DIM_CAP", "8")
-        require_amplitude_budget(6, "vector")  # 2**6 = 8**2
-        with pytest.raises(DimensionCapError, match="2\\*\\*7 exceeds cap 8\\*\\*2"):
-            require_amplitude_budget(7, "vector")
+def exact_krawtchouk(n):
+    """K[v][w] as exact integers, by K_w(v + 1) = K_w(v) - K_{w-1}(v) - K_{w-1}(v + 1),
+    the coefficients of (1 + z) P_{v+1}(z) = (1 - z) P_v(z)."""
+    rows = [[math.comb(n, w) for w in range(n + 1)]]
+    for _ in range(n):
+        prev, row = rows[-1], []
+        for w in range(n + 1):
+            row.append(prev[w] - (prev[w - 1] + row[w - 1] if w else 0))
+        rows.append(row)
+    return rows
 
-    def test_huge_n_is_refused_at_once(self):
-        with pytest.raises(DimensionCapError, match="exceeds cap"):
-            require_amplitude_budget(10**15, "vector")
+
+class TestKrawtchouk:
+    @pytest.mark.parametrize("n", range(0, 11))
+    def test_is_the_walsh_hadamard_transform_of_the_expanded_row(self, n):
+        f = np.random.default_rng(n).standard_normal(n + 1)
+        labels = np.arange(2**n)
+        np.testing.assert_allclose(
+            krawtchouk(f)[np.bitwise_count(labels)], walsh_hadamard(xor_row(f)), atol=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 150])
+    def test_matches_exact_integer_krawtchouk(self, n):
+        f = np.random.default_rng(n).standard_normal(n + 1) * 0.5 ** np.arange(n + 1)
+        exact = [
+            float(sum(k * Fraction(x) for k, x in zip(row, f.tolist())))
+            for row in exact_krawtchouk(n)
+        ]
+        scale = float(binomials(n) @ np.abs(f))
+        assert np.abs(krawtchouk(f) - exact).max() <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 53, 60, 345, 1023])
+    def test_binomial_sum_is_rounded_once(self, n):
+        assert binomial_sum(np.ones(n + 1)) == 2.0**n
+        f = np.random.default_rng(n).random(n + 1) ** np.arange(n + 1)
+        exact = sum(math.comb(n, w) * Fraction(x) for w, x in enumerate(f.tolist()))
+        assert binomial_sum(f) == float(exact)
+
+    def test_binomials_are_exact(self):
+        assert binomials(60).tolist() == [float(math.comb(60, w)) for w in range(61)]
 
 
 class TestSpectrum:

@@ -6,6 +6,7 @@ image kept as its base against its dense lift, and the DIO feasibility test
 and synthesized channel against the dephasing robustness."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,11 +29,9 @@ from cohrank import (
     mcdc_apply,
     negativity_rank_lower_bound,
     noisy_max_coherent,
-    noisy_power_row,
     omega_power_certificate,
     power_pair_ensemble,
     power_pair_feasible,
-    power_pair_members,
     power_pair_witness,
     rank_certificate,
     schmidt_certificate,
@@ -40,10 +39,17 @@ from cohrank import (
     verify_ensemble,
     verify_orbit,
 )
+from cohrank.bounds import CEIL_GUARD, EIG_CUTOFF
+from helpers import walsh_hadamard, xor_row
 
 
 def boundary(n):
     return 2 ** (1 / n) - 1
+
+
+def power_row(alpha, n):
+    """2**n times the entries of omega(alpha)^(x)n by Hamming distance."""
+    return alpha ** np.arange(n + 1, dtype=float)
 
 
 @st.composite
@@ -75,7 +81,7 @@ def test_pair_witness_matches_dense_oracle(params):
     alpha, n = params
     witness = power_pair_witness(alpha, n)
     oracle = power_pair_ensemble(alpha, n)
-    assert len(witness) == len(oracle) == power_pair_members(alpha, n)
+    assert len(witness) == len(oracle)
     np.testing.assert_array_equal(witness.weights, oracle.weights)
     np.testing.assert_array_equal(
         np.array([psi for _, psi in witness.members()]), oracle.states
@@ -91,12 +97,12 @@ def test_pair_witness_matches_dense_oracle(params):
 @settings(max_examples=25, deadline=None)
 @given(feasible_params(max_n=10), st.floats(0.0, 1.0))
 def test_structured_distance_matches_dense_eigvalsh(params, target_alpha):
-    """verify_orbit's Walsh-Hadamard distance is the dense eigvalsh distance,
+    """verify_orbit's Krawtchouk distance is the dense eigvalsh distance,
     for the witness's own target and for the power at another alpha."""
     alpha, n = params
     witness = power_pair_witness(alpha, n)
     for other in (alpha, target_alpha):
-        fast = verify_orbit(witness, noisy_power_row(other, n))
+        fast = verify_orbit(witness, power_row(other, n))
         dense = verify_ensemble(witness, tensor_power(noisy_max_coherent(other), n))
         assert abs(fast.reconstruction_trace_distance - dense.reconstruction_trace_distance) <= 1e-12
         assert fast.feasible == dense.feasible
@@ -119,6 +125,45 @@ def test_structured_certificate_matches_dense(n, fraction, beyond):
         dense.lower, dense.upper, dense.lower_method, dense.upper_method
     )
     assert l1_lower == l1_rank_lower_bound(rho)
+
+
+@settings(max_examples=25, deadline=None)
+@given(feasible_params(max_n=16), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_krawtchouk_distance_matches_walsh_hadamard(params, target_alpha, seed):
+    """For n <= 16, verify_orbit's distance and weight sum equal the
+    Walsh-Hadamard oracle on the 2**n-long XOR rows the n + 1 weights expand
+    to: for the witness and for one with perturbed weights, against its own
+    target and the power at another alpha."""
+    alpha, n = params
+    witness = power_pair_witness(alpha, n)
+    noise = 1e-6 * np.random.default_rng(seed).standard_normal(n + 1)
+    bent = replace(witness, distance_weights=witness.distance_weights * (1.0 + noise))
+    for candidate in (witness, bent):
+        members = xor_row(candidate.distance_weights)[1:] / 2**n  # one class per k != 0
+        weight_sum = 2 ** (n - 1) * members.sum() + candidate.keep_basis * candidate.residual
+        for other in (alpha, target_alpha):
+            fast = verify_orbit(candidate, power_row(other, n))
+            spectrum = walsh_hadamard(xor_row(candidate.row() - power_row(other, n))) / 2**n
+            assert abs(fast.reconstruction_trace_distance - 0.5 * np.abs(spectrum).sum()) <= 1e-12
+            assert fast.weight_sum == pytest.approx(weight_sum, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 16), st.floats(1e-6, 1.0), st.booleans())
+def test_structured_certificate_matches_walsh_hadamard(n, fraction, beyond):
+    """For n <= 16, omega_power_certificate's l1 bound and, beyond the
+    boundary, its pure-rank/eigenvector-ensemble tag are those of the
+    Walsh-Hadamard oracle on the expanded 2**n-long row of the power."""
+    edge = boundary(n)
+    alpha = edge + fraction * (1.0 - edge) if beyond else edge * fraction
+    cert, l1_lower = omega_power_certificate(alpha, n)
+    row = xor_row(power_row(alpha, n))
+    assert l1_lower == math.ceil(row.sum() - 1.0 + 1.0 - CEIL_GUARD)
+    assert (cert.witness is None) == (alpha > edge)
+    if cert.witness is None:
+        above = np.count_nonzero(walsh_hadamard(row) / 2**n > EIG_CUTOFF)
+        assert cert.upper_method == ("pure-rank" if above == 1 else "eigenvector-ensemble")
+        assert cert.upper == 2**n
 
 
 @settings(max_examples=40, deadline=None)

@@ -28,6 +28,7 @@ from cohrank import serialize
 from cohrank.serialize import (
     Rows,
     channel_to_json,
+    ensemble_from_json,
     ensemble_to_json,
     matrix_to_json,
     vector_to_json,
@@ -192,8 +193,10 @@ class TestWriteJson:
 
     @pytest.mark.parametrize(
         "doc",
-        [{"a": object()}, [b"bytes"], {(1,): 2}, {"a": {1j: 1}}, [np.int64(1)], [np.bool_(True)],
-         iter([])],
+        # the repr of an object or an iterator holds its address, so those two
+        # cases are named by the expression that builds them
+        [pytest.param({"a": object()}, id="{'a': object()}"), [b"bytes"], {(1,): 2},
+         {"a": {1j: 1}}, [np.int64(1)], [np.bool_(True)], pytest.param(iter([]), id="iter([])")],
         ids=repr,
     )
     def test_rejects_what_json_rejects(self, doc):
@@ -258,6 +261,21 @@ class TestLazyDocuments:
         ch = dio_synthesize(fourier_flag_mixture(3), 2)
         doc = channel_to_json(ch)
         assert written(doc) == written(doc)
+
+    @pytest.mark.parametrize(
+        "ens",
+        [power_pair_witness(0.1, 3), power_pair_witness(0.2, 2).lifted(), dual_flag_ensemble(4)],
+        ids=["orbit", "orbit-lifted", "flag"],
+    )
+    def test_in_memory_round_trip(self, ens, monkeypatch):
+        """Iterating Rows yields plain member dicts, so ensemble_from_json reads
+        the lazy document itself, not only its written text."""
+        monkeypatch.setattr(serialize, "MEMBER_BLOCK", 7)
+        doc = ensemble_to_json(ens)
+        assert list(doc["members"]) == eager_ensemble(ens)["members"]
+        back = ensemble_from_json(doc)
+        np.testing.assert_array_equal(back.weights, ens.weights)
+        np.testing.assert_array_equal(back.states, np.array([psi for _, psi in ens.members()]))
 
     def test_ensemble_members_are_built_on_write(self):
         ens = power_pair_witness(0.1, 2)

@@ -17,7 +17,7 @@ from cohrank import (
     mc_lift_vector,
     mc_unlift,
     noisy_max_coherent,
-    noisy_power_row,
+    omega_power_certificate,
     pair_state,
     pure_coherence_rank,
     validate_density_matrix,
@@ -67,25 +67,23 @@ class TestNoisyMaxCoherent:
 
 
 class TestNoisyPowerRow:
+    """The n-fold power by Hamming distance, <i|rho|j> = alpha**popcount(i ^ j) / 2**n:
+    the n + 1 entries omega_power_certificate reads the power from."""
+
     @pytest.mark.parametrize("n", range(1, 8))
     @pytest.mark.parametrize("alpha", [0.0, 0.13, 2 ** 0.5 - 1, 1.0])
     def test_is_the_first_row_of_the_dense_power(self, alpha, n):
         dense = tensor_power(noisy_max_coherent(alpha), n)
-        row = noisy_power_row(alpha, n)
-        np.testing.assert_array_equal(row, dense[0].real)
+        row = alpha ** np.arange(n + 1) / 2**n
         labels = np.arange(2**n)
-        np.testing.assert_array_equal(row[labels[:, None] ^ labels], dense.real)
-
-    def test_budget_follows_dim_cap(self, monkeypatch):
-        monkeypatch.setenv("COHRANK_DIM_CAP", "8")
-        assert noisy_power_row(0.2, 6).size == 64
-        with pytest.raises(DimensionCapError, match="exceeds cap 8"):
-            noisy_power_row(0.2, 7)
+        np.testing.assert_allclose(row[np.bitwise_count(labels)], dense[0].real, rtol=1e-14, atol=0)
+        distance = np.bitwise_count(labels[:, None] ^ labels)
+        np.testing.assert_allclose(row[distance], dense, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("alpha,n", [(-0.1, 2), (1.5, 2), (0.2, 0)])
     def test_rejects_bad_parameters(self, alpha, n):
         with pytest.raises(ValueError):
-            noisy_power_row(alpha, n)
+            omega_power_certificate(alpha, n)
 
 
 class TestFourierFlagFamily:
