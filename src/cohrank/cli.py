@@ -126,6 +126,14 @@ def cmd_nonadd(args: argparse.Namespace) -> int:
         raise ValueError(f"n-max must be >= 1, got {args.n_max}")
     if args.alpha_max > 0.0:  # the sweep would fail at the first n past the limit
         require_copies(args.n_max)
+    # The CSV is formed in memory: refuse before the sweep when it would hold
+    # more rows than the output budget, whatever alpha is.
+    count, limit = args.steps * args.n_max, dim_cap()
+    if count > limit**2:
+        raise DimensionCapError(
+            f"nonadd sweep of {args.steps} steps x {args.n_max} copies is {count} rows, "
+            f"exceeds cap {limit}**2"
+        )
     rows = sweep_rows(args.alpha_min, args.alpha_max, args.steps, args.n_max)
     _emit("\n".join([CSV_HEADER, *rows]) + "\n", args.out)
     return 0

@@ -133,8 +133,9 @@ class OrbitWitness(_LabelLift):
     residual / 2**n. Kept times 2**n, the n + 2 numbers stay normal doubles
     up to MAX_COPIES. Members are listed pairs-first in lexicographic (i, j)
     order, then basis states ascending; only members(), weights and
-    reconstruction() expand the 2**n classes. With lift, label i stands for
-    |ii> of the 4**n-dim maximally correlated lift.
+    reconstruction() expand the 2**n classes, and label_blocks() lists the
+    members by their labels. With lift, label i stands for |ii> of the
+    4**n-dim maximally correlated lift.
     """
 
     distance_weights: np.ndarray
@@ -186,6 +187,33 @@ class OrbitWitness(_LabelLift):
                 psi = np.zeros(dim)
                 psi[label] = 1.0
                 yield math.ldexp(self.residual, -self.n), psi
+
+    def label_blocks(self, count: int):
+        """The members by their labels, up to count at a time, in members() order.
+
+        Yields (weights, labels): labels has shape (k, 2) in a block of pair
+        members (|a> + |b>)/sqrt(2), a < b, and shape (k, 1) in a block of
+        basis members |a>. Labels index the target_dim space, so a lifted
+        witness gives mc_labels. No amplitude vector is formed, and memory
+        is O(2**n + count).
+        """
+        size = 2**self.n
+        labels = mc_labels(size) if self.lift else np.arange(size)
+        weights = np.ldexp(self.distance_weights, -self.n)
+        # pairs (i, i + 1), ..., (i, size - 1) are members starts[i] onward
+        rows = np.arange(size)
+        starts = rows * size - rows * (rows + 1) // 2
+        pairs = size * (size - 1) // 2
+        for begin in range(0, pairs, count):
+            k = np.arange(begin, min(begin + count, pairs))
+            i = np.searchsorted(starts, k, side="right") - 1
+            j = k - starts[i] + i + 1
+            yield weights[np.bitwise_count(i ^ j)], np.stack([labels[i], labels[j]], axis=1)
+        if self.keep_basis:
+            basis = math.ldexp(self.residual, -self.n)
+            for begin in range(0, size, count):
+                part = labels[begin : begin + count]
+                yield np.full(part.size, basis), part[:, None]
 
     def row(self) -> np.ndarray:
         """2**n times the unlifted mixture by Hamming distance, from the member semantics alone.

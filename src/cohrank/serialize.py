@@ -10,28 +10,34 @@ takes numpy arrays (the flat list of their values, a complex array interleaved
 as in the schema) and Rows (a lazy list of objects given in blocks of
 columns). ensemble_to_json and channel_to_json build such documents, so
 nothing the size of the document is ever formed, and each can be written
-more than once.
+more than once. Every list of floats goes through one row formatter, which
+takes the nonzeros of a block (Sparse): a dense array is scanned for them,
+and an orbit witness's members are given by their labels, never as vectors.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import asdict
-from itertools import islice, repeat
+from dataclasses import asdict, dataclass
+from functools import lru_cache
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .channels import DioChannel
-from .decompositions import Ensemble, EnsembleReport, WeightedEnsemble
+from .decompositions import PAIR_AMP, Ensemble, EnsembleReport, OrbitWitness, WeightedEnsemble
 from .kernel import as_complex_matrix
+from .states import mc_labels
 
 INDENT = "  "
 # Array floats formatted per numpy pass (and per write).
 FLOAT_CHUNK = 1 << 16
 # Ensemble members formatted per numpy pass (and per write).
 MEMBER_BLOCK = 512
+# A run of zeros is written as fragments of up to this many "0.0" each.
+ZERO_UNIT = 64
 
 
 def _floats(values) -> np.ndarray:
@@ -89,13 +95,38 @@ def vector_from_json(doc: dict) -> np.ndarray:
     return flat
 
 
+@dataclass(frozen=True)
+class Sparse:
+    """A 2-D block of floats given by its nonzeros: values[e] at (rows[e], cols[e]),
+    sorted by row, then column; every other entry is 0.0."""
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    @classmethod
+    def scan(cls, block) -> Sparse:
+        """The nonzeros of a 2-D array, complex interleaved. +0.0 is the one float
+        whose bits are all zero, so the scan keeps -0.0, which json writes "-0.0"."""
+        block = _floats(block)
+        rows, cols = np.nonzero(block.view(np.int64))
+        return cls(block.shape, rows, cols, block[rows, cols])
+
+    def dense(self) -> np.ndarray:
+        """The block as a 2-D float array."""
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.values
+        return out
+
+
 class Rows:
     """A lazy JSON list of objects that share their keys, given in blocks of columns.
 
     Each block maps every key, in order, to a column over the block's rows:
-    a 1-D array (one float per row), a 2-D array (one list of floats per
-    row, complex interleaved) or a JSON scalar shared by every row; at least
-    one column is an array. write_json formats a whole block per numpy pass.
+    a 1-D array (one float per row), a Sparse block (one list of floats per
+    row) or a JSON scalar shared by every row; at least one column is not a
+    scalar. write_json formats a whole block per numpy pass.
     blocks is a function of no arguments that returns the blocks; write_json
     calls it on every write, so the same document can be written again.
     """
@@ -107,21 +138,44 @@ class Rows:
         """The objects one at a time, as plain dicts of JSON values."""
         for block in self.blocks():
             columns = [
-                _floats(c).tolist() if isinstance(c, np.ndarray) else repeat(c) for c in block.values()
+                c.dense().tolist() if isinstance(c, Sparse)
+                else _floats(c).tolist() if isinstance(c, np.ndarray)
+                else repeat(c)
+                for c in block.values()
             ]
             for values in zip(*columns):
                 yield dict(zip(block, values))
 
 
 def _member_blocks(ens: Ensemble):
-    members = ens.members()
-    while block := list(islice(members, MEMBER_BLOCK)):
-        weights, states = zip(*block)
-        amplitudes = np.array(states, dtype=complex)
+    """Rows blocks of MEMBER_BLOCK members, the amplitudes (interleaved) as nonzeros.
+
+    An orbit witness's members come from their labels: a pair member holds
+    PAIR_AMP at the real parts of its two labels, a basis member 1.0 at its
+    one. Dense rows are scanned, and a lifted row's nonzeros are moved to
+    its labels, so no member vector is formed.
+    """
+    dim = ens.target_dim
+    if isinstance(ens, OrbitWitness):
+        for weights, labels in ens.label_blocks(MEMBER_BLOCK):
+            count, width = labels.shape
+            rows = np.repeat(np.arange(count), width)
+            values = np.full(labels.size, PAIR_AMP if width == 2 else 1.0)
+            yield {
+                "weight": weights,
+                "dim": dim,
+                "amplitudes": Sparse((count, 2 * dim), rows, 2 * labels.reshape(-1), values),
+            }
+        return
+    size = ens.states.shape[1]
+    labels = mc_labels(size) if ens.lift else np.arange(size)
+    columns = (2 * labels[:, None] + np.arange(2)).reshape(-1)  # re at 2 * label, im after it
+    for start in range(0, len(ens), MEMBER_BLOCK):
+        rows = Sparse.scan(ens.states[start : start + MEMBER_BLOCK].astype(complex))
         yield {
-            "weight": np.array(weights, dtype=float),
-            "dim": amplitudes.shape[1],
-            "amplitudes": amplitudes,
+            "weight": ens.weights[start : start + MEMBER_BLOCK],
+            "dim": dim,
+            "amplitudes": Sparse((rows.shape[0], 2 * dim), rows.rows, columns[rows.cols], rows.values),
         }
 
 
@@ -186,26 +240,46 @@ def _float_texts(values: np.ndarray) -> list[str]:
     return list(map(texts.__getitem__, index.tolist()))
 
 
-def _float_rows(block: np.ndarray, sep: str) -> list[str]:
-    """The floats of each row of a 2-D block as json writes them, joined by sep.
+@lru_cache(maxsize=16)  # one entry per nesting level in use
+def _zero_runs(sep: str, unit: int) -> tuple[str, tuple[str, ...]]:
+    """unit zeros, each followed by sep, and the runs of 0 .. unit - 1 of them."""
+    zero = "0.0" + sep
+    return zero * unit, tuple(zero * k for k in range(unit))
 
-    One nonzero scan covers the block. +0.0 is the one float whose bits are
-    all zero, so the scan keeps -0.0, which json writes "-0.0". Only the
-    nonzeros are formatted; each run of zeros is written by string repetition.
+
+def _float_rows(block: Sparse, opening: str, sep: str, closing: str) -> list[list[str]]:
+    """The one row formatter: the text of each row of a block (width > 0), as
+    fragments: opening, the floats as json writes them joined by sep, closing.
+
+    Only the nonzeros are formatted, each distinct one once. A run of zeros
+    is made of shared fragments of at most ZERO_UNIT zeros, so no text is
+    copied until the fragments are joined to be written.
     """
     count, width = block.shape
-    rows, cols = np.nonzero(block.view(np.int64))
-    texts = _float_texts(block[rows, cols])
-    cols = cols.tolist()
-    zero = "0.0" + sep
-    out, begin = [], 0
-    for end in np.searchsorted(rows, np.arange(1, count + 1)).tolist():
-        pieces, last = [], -1
-        for col, text in zip(cols[begin:end], texts[begin:end]):
-            pieces.append(zero * (col - last - 1) + text + sep)
-            last = col
-        out.append(("".join(pieces) + zero * (width - 1 - last))[: -len(sep)])
-        begin = end
+    texts = _float_texts(block.values)
+    cols = block.cols
+    starts = np.searchsorted(block.rows, np.arange(count + 1))  # row k: entries starts[k]:starts[k + 1]
+    # zeros before each entry, back to the previous entry of its row or the row's start
+    previous = np.concatenate(([-1], cols[:-1]))
+    previous[starts[:-1][starts[:-1] < cols.size]] = -1
+    units, rests = (a.tolist() for a in np.divmod(cols - previous - 1, ZERO_UNIT))
+    # zeros after each row's last entry; the last of them is written before closing
+    last = np.where(starts[1:] > starts[:-1], np.append(cols, -1)[starts[1:] - 1], -1)
+    after = (width - 1 - last).tolist()
+    tail_units, tail_rests = (a.tolist() for a in np.divmod(width - 2 - last, ZERO_UNIT))
+    unit, runs = _zero_runs(sep, ZERO_UNIT)
+    out, bounds = [], starts.tolist()
+    for k in range(count):
+        row = [opening]
+        for e in range(bounds[k], bounds[k + 1]):
+            row += [unit] * units[e]
+            row += (runs[rests[e]], texts[e], sep)
+        if after[k]:
+            row += [unit] * tail_units[k]
+            row += (runs[tail_rests[k]], "0.0", closing)
+        else:
+            row[-1] = closing
+        out.append(row)
     return out
 
 
@@ -275,24 +349,23 @@ def write_json(doc, fh) -> None:
             separator = "," + inner
         pieces.append(opening + closing if separator[0] == opening else "\n" + INDENT * level + closing)
 
-    def array_text(rows: np.ndarray, level: int) -> list[str]:
-        """The JSON list text of each row of a 2-D float array."""
-        if not rows.shape[1]:
-            return ["[]"] * rows.shape[0]
+    def array_text(block: Sparse, level: int, head: str = "") -> list[list[str]]:
+        """The JSON list text of each row of a block, after head, as fragments."""
+        if not block.shape[1]:
+            return [[head + "[]"]] * block.shape[0]
         inner = "\n" + INDENT * (level + 1)
-        closing = "\n" + INDENT * level + "]"
-        return ["[" + inner + text + closing for text in _float_rows(rows, "," + inner)]
+        return _float_rows(block, head + "[" + inner, "," + inner, "\n" + INDENT * level + "]")
 
     def encode_array(value: np.ndarray, level: int) -> None:
         flat = _floats(value).reshape(-1)
         if flat.size <= FLOAT_CHUNK:
-            pieces.extend(array_text(flat[None, :], level))
+            pieces.extend(array_text(Sparse.scan(flat[None, :]), level)[0])
             return
         inner = "\n" + INDENT * (level + 1)
         opening = "[" + inner
         for start in range(0, flat.size, FLOAT_CHUNK):
-            pieces.append(opening)
-            pieces.extend(_float_rows(flat[None, start : start + FLOAT_CHUNK], "," + inner))
+            chunk = Sparse.scan(flat[None, start : start + FLOAT_CHUNK])
+            pieces.extend(_float_rows(chunk, opening, "," + inner, "")[0])
             opening = "," + inner
             flush()
         pieces.append("\n" + INDENT * level + "]")
@@ -303,24 +376,27 @@ def write_json(doc, fh) -> None:
         closing = "\n" + INDENT * (level + 1) + "}"
         opening = "[" + inner
         for block in value.blocks():
-            lengths = [len(column) for column in block.values() if isinstance(column, np.ndarray)]
+            lengths = [c.shape[0] for c in block.values() if isinstance(c, (np.ndarray, Sparse))]
             if not lengths:
                 raise ValueError("a Rows block needs at least one array column")
-            heads, columns = [], []
+            columns = []  # per column, the fragments of each row, after the key
             for key, column in block.items():
-                heads.append(("{" if not heads else ",") + field + encode_basestring_ascii(key) + ": ")
-                if not isinstance(column, np.ndarray):
+                head = ("{" if not columns else ",") + field + encode_basestring_ascii(key) + ": "
+                if isinstance(column, Sparse):
+                    columns.append(array_text(column, level + 2, head))
+                elif isinstance(column, np.ndarray) and column.ndim == 1:
+                    columns.append([[head + text] for text in _float_texts(_floats(column))])
+                else:
                     text = _scalar(column)
                     if text is None:
                         name = type(column).__name__
-                        raise TypeError(f"a Rows column must be an array or a JSON scalar, not {name}")
-                    columns.append([text] * lengths[0])
-                elif column.ndim == 2:
-                    columns.append(array_text(_floats(column), level + 2))
-                else:
-                    columns.append(_float_texts(_floats(column)))
-            for texts in zip(*columns):
-                pieces.append(opening + "".join(map(str.__add__, heads, texts)) + closing)
+                        raise TypeError(f"a Rows column must be a 1-D array, Sparse or a JSON scalar, not {name}")
+                    columns.append([[head + text]] * lengths[0])
+            for fields in zip(*columns):
+                pieces.append(opening)
+                for fragments in fields:
+                    pieces.extend(fragments)
+                pieces.append(closing)
                 opening = "," + inner
             flush()
         pieces.append("[]" if opening[0] == "[" else "\n" + INDENT * level + "]")

@@ -2,7 +2,8 @@
 
 Each line is: group, argv, exit code, sha256 of stdout, sha256 of stderr and
 sha256 of the --out file the same invocation writes ("-" when it writes
-none). The invocations run in-process, with one BLAS thread, against the
+none). Stdout and stderr are hashed as they are written, so no document is
+held in memory. The invocations run in-process, with one BLAS thread, against the
 cohrank package in SRC (default: this checkout's src), so comparing two
 checkouts is one command:
 
@@ -10,8 +11,9 @@ checkouts is one command:
 
 The sets:
 - "decompose": omega-power n = 1..7 at alpha 0.05, half the boundary, the
-  boundary repr, boundary + 0.01 and 1; rho-d d = 1..17; the output-cap
-  refusal at n = 9 and its infeasible twin.
+  boundary repr, boundary + 0.01 and 1; rho-d d = 1..17; the largest
+  admitted document, n = 8 at alpha 0.05 and at the boundary repr (about
+  250 MB each); the output-cap refusal at n = 9 and its infeasible twin.
 - "cost-nonadd": the nonadd sweeps (default, 0..1 x 5 up to n = 3, the small
   golden grid, the grid on ||rho||_l1 = 1e-9, 0.2..0.3 x 11 up to n = 6,
   alpha 0.0717734625363 up to n = 10, alpha 1 up to n = 3, 0.01..0.99 x 25
@@ -99,6 +101,8 @@ def invocations():
             yield "decompose", omega_decompose(alpha, n)
     for d in range(1, 18):
         yield "decompose", ["decompose", "--family", "rho-d", "--d", str(d)]
+    yield "decompose", omega_decompose(0.05, 8)
+    yield "decompose", omega_decompose(boundary(8), 8)
     yield "decompose", omega_decompose(0.01, 9)
     yield "decompose", omega_decompose(0.5, 9)
 
@@ -146,15 +150,27 @@ def invocations():
         yield "changed", ["decompose", "--family", "omega-power", "--alpha", alpha, "--n", "3"]
 
 
+class Sink(io.TextIOBase):
+    """A text stream that keeps only the sha256 of the UTF-8 text written to it."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode())
+        return len(text)
+
+
 def run(argv):
-    out, err = io.StringIO(), io.StringIO()
+    out, err = Sink(), Sink()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    return code, out.getvalue().encode(), err.getvalue().encode()
+    return code, out.hash.hexdigest(), err.hash.hexdigest()
 
 
-def digest(data):
-    return hashlib.sha256(data).hexdigest()
+def file_digest(path):
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def report():
@@ -164,8 +180,8 @@ def report():
         with contextlib.suppress(FileNotFoundError):
             target.unlink()
         run(argv + ["--out", str(target)])
-        written = digest(target.read_bytes()) if target.exists() else "-"
-        print("\t".join([group, " ".join(argv), str(code), digest(out), digest(err), written]))
+        written = file_digest(target) if target.exists() else "-"
+        print("\t".join([group, " ".join(argv), str(code), out, err, written]))
 
 
 if __name__ == "__main__":

@@ -3,7 +3,11 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from cohrank import (
     max_coherent,
     mc_lift,
     noisy_max_coherent,
+    power_pair_witness,
     serialize,
 )
 from cohrank.bounds import cost_report
@@ -228,6 +233,31 @@ class TestNonadd:
         _, flagged = run(args + ["--seed", "7", "--tol-psd", "0.5"], capsys)
         assert flagged == plain
 
+    @pytest.mark.parametrize(
+        "flags,rows",
+        [(["--alpha-max", "0", "--n-max", "1000000000000"], 10 * 10**12),
+         (["--steps", "100000000000"], 4 * 10**11)],
+        ids=["all-zero-sweep", "steps"],
+    )
+    def test_sweep_past_the_output_budget_exits_3(self, flags, rows):
+        """The first built rows until it was killed, the second exited 1 trying
+        to allocate 745 GiB. Run in a child with a timeout, so a regression
+        fails rather than hangs."""
+        env = {k: v for k, v in os.environ.items() if k != "COHRANK_DIM_CAP"}
+        env["PYTHONPATH"] = str(Path(cohrank.cli.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-m", "cohrank", "nonadd", *flags],
+                              capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert f"is {rows} rows, exceeds cap 4096**2" in proc.stderr
+
+    def test_sweep_row_budget_follows_dim_cap(self, monkeypatch, capsys):
+        monkeypatch.setenv("COHRANK_DIM_CAP", "4")
+        code, out = run(["nonadd", "--steps", "4", "--n-max", "4"], capsys)  # 16 rows = 4**2
+        assert code == 0 and len(out.splitlines()) == 17
+        assert main(["nonadd", "--steps", "17", "--n-max", "1"]) == 3
+        assert "17 steps x 1 copies is 17 rows" in capsys.readouterr().err
+
 
 class TestDecompose:
     def test_pair_family_document(self, capsys):
@@ -376,17 +406,17 @@ class TestStreamedOutput:
         out = tmp_path / "ens.json"
         if earlier is not None:
             out.write_text(earlier)
-        members, seen = OrbitWitness.members, []
+        label_blocks, seen = OrbitWitness.label_blocks, []
 
-        def fail_partway(self):
-            it = members(self)
+        def fail_partway(self, count):
+            it = label_blocks(self, count)
             for _ in range(20):
                 yield next(it)
             # twenty one-member blocks, past the file's write buffer, are on disk by now
             seen.extend((p.name, p.stat().st_size) for p in tmp_path.iterdir() if p != out)
             raise MemoryError("out of memory partway")
 
-        monkeypatch.setattr(OrbitWitness, "members", fail_partway)
+        monkeypatch.setattr(OrbitWitness, "label_blocks", fail_partway)
         monkeypatch.setattr(serialize, "MEMBER_BLOCK", 1)
         code = main(["decompose", "--family", "omega-power", "--alpha", "0.1", "--n", "5",
                      "--out", str(out)])
@@ -396,6 +426,17 @@ class TestStreamedOutput:
         assert sorted(os.listdir(tmp_path)) == ([] if earlier is None else ["ens.json"])
         if earlier is not None:
             assert out.read_text() == earlier
+
+    def test_omega_members_are_written_from_their_labels(self, monkeypatch, capsys):
+        """members(), the dense oracle, builds one vector per member; decompose
+        never calls it, and still writes the members it lists."""
+        monkeypatch.setattr(OrbitWitness, "members", mock.Mock(side_effect=AssertionError))
+        code, out = run(["decompose", "--family", "omega-power", "--alpha", "0.1", "--n", "4"],
+                        capsys)
+        monkeypatch.undo()
+        assert code == 0
+        oracle = [{"weight": w, **vector_to_json(psi)} for w, psi in power_pair_witness(0.1, 4).members()]
+        assert json.loads(out)["members"] == oracle
 
     def test_out_file_mode_and_links(self, tmp_path):
         args = ["cost", "--alpha", "0.3", "--n", "2", "--out"]

@@ -27,6 +27,7 @@ from cohrank import (
 from cohrank import serialize
 from cohrank.serialize import (
     Rows,
+    Sparse,
     channel_to_json,
     ensemble_from_json,
     ensemble_to_json,
@@ -100,6 +101,8 @@ def containers(children):
 
 
 documents = st.recursive(leaves, containers, max_leaves=24)
+# Zeros per shared fragment of a run: the default, and sizes that split short runs.
+units = st.sampled_from([serialize.ZERO_UNIT, 1, 3])
 
 
 @st.composite
@@ -129,7 +132,7 @@ def row_lists(draw):
                 if kind == "complex":
                     real, a = a, a.astype(complex)
                     a.imag = real[:, ::-1]
-                block[key], column = a, [plain_array(row) for row in a]
+                block[key], column = Sparse.scan(a), [plain_array(row) for row in a]
             columns.append(column)
         blocks.append(block)
         plain += [dict(zip(keys, row)) for row in zip(*columns)]
@@ -138,19 +141,20 @@ def row_lists(draw):
 
 class TestWriteJson:
     @settings(max_examples=300, deadline=None)
-    @given(pair=documents, chunk=st.sampled_from([serialize.FLOAT_CHUNK, 3, 64]))
-    def test_matches_json_dumps(self, pair, chunk):
+    @given(pair=documents, chunk=st.sampled_from([serialize.FLOAT_CHUNK, 3, 64]), unit=units)
+    def test_matches_json_dumps(self, pair, chunk, unit):
         lazy, plain = pair
-        with mock.patch.object(serialize, "FLOAT_CHUNK", chunk):
+        with mock.patch.object(serialize, "FLOAT_CHUNK", chunk), mock.patch.object(serialize, "ZERO_UNIT", unit):
             assert written(lazy) == oracle(plain)
 
     @settings(max_examples=100, deadline=None)
-    @given(pair=row_lists(), level=st.integers(0, 2))
-    def test_rows_match_json_dumps(self, pair, level):
+    @given(pair=row_lists(), level=st.integers(0, 2), unit=units)
+    def test_rows_match_json_dumps(self, pair, level, unit):
         lazy, plain = pair
         for _ in range(level):
             lazy, plain = {"k": lazy}, {"k": plain}
-        assert written(lazy) == oracle(plain)
+        with mock.patch.object(serialize, "ZERO_UNIT", unit):
+            assert written(lazy) == oracle(plain)
 
     @pytest.mark.parametrize(
         "make_doc,plain",
@@ -191,6 +195,12 @@ class TestWriteJson:
         with pytest.raises(TypeError, match="Rows column"):
             written(Rows(lambda: [{"weight": np.ones(2), "tags": ["a"]}]))
 
+    def test_rows_list_column_is_sparse(self):
+        """A list-per-row column is given by its nonzeros; a 2-D array is refused,
+        not written as one float per row."""
+        with pytest.raises(TypeError, match="Rows column must be a 1-D array, Sparse"):
+            written(Rows(lambda: [{"weight": np.ones(2), "amplitudes": np.ones((2, 3))}]))
+
     @pytest.mark.parametrize(
         "doc",
         # the repr of an object or an iterator holds its address, so those two
@@ -228,22 +238,38 @@ def eager_ensemble(ens, report=None):
     return doc
 
 
+# Orbit witnesses, written from their labels, on both feasible sides: inside
+# the boundary (with basis members) and at its repr (none), plus lifted ones.
+ORBITS = [
+    *(pytest.param(power_pair_witness(0.3 * (2 ** (1 / n) - 1), n), id=f"orbit-n{n}")
+      for n in range(1, 7)),
+    *(pytest.param(power_pair_witness(2 ** (1 / n) - 1, n), id=f"orbit-boundary-n{n}")
+      for n in range(1, 7)),
+    *(pytest.param(power_pair_witness(0.3 * (2 ** (1 / n) - 1), n).lifted(), id=f"orbit-lifted-n{n}")
+      for n in range(1, 4)),
+    pytest.param(power_pair_witness(1.0, 1).lifted(), id="orbit-lifted-boundary-n1"),
+]
+
+
 class TestLazyDocuments:
     @pytest.mark.parametrize("block", [serialize.MEMBER_BLOCK, 1, 7])
     @pytest.mark.parametrize(
         "ens",
         [
-            power_pair_witness(0.1, 3),
-            power_pair_witness(2 ** 0.25 - 1, 4),
-            power_pair_witness(0.2, 2).lifted(),
-            dual_flag_ensemble(5),
-            dual_flag_ensemble(2).lifted(),
-            WeightedEnsemble(
-                weights=np.array([0.25, 0.75]),
-                states=np.array([[1.0, 0.0, -0.0], [0.6, 0.0, 0.8j]]),
+            pytest.param(power_pair_witness(0.1, 3), id="orbit"),
+            pytest.param(power_pair_witness(2 ** 0.25 - 1, 4), id="orbit-boundary"),
+            pytest.param(power_pair_witness(0.2, 2).lifted(), id="orbit-lifted"),
+            pytest.param(dual_flag_ensemble(5), id="flag"),
+            pytest.param(dual_flag_ensemble(2).lifted(), id="flag-lifted"),
+            pytest.param(
+                WeightedEnsemble(
+                    weights=np.array([0.25, 0.75]),
+                    states=np.array([[1.0, 0.0, -0.0], [0.6, 0.0, 0.8j]]),
+                ),
+                id="weighted",
             ),
+            *ORBITS,
         ],
-        ids=["orbit", "orbit-boundary", "orbit-lifted", "flag", "flag-lifted", "weighted"],
     )
     def test_ensemble_document(self, ens, block, monkeypatch):
         monkeypatch.setattr(serialize, "MEMBER_BLOCK", block)
@@ -279,7 +305,7 @@ class TestLazyDocuments:
 
     def test_ensemble_members_are_built_on_write(self):
         ens = power_pair_witness(0.1, 2)
-        with mock.patch.object(OrbitWitness, "members", side_effect=AssertionError):
+        with mock.patch.object(OrbitWitness, "label_blocks", side_effect=AssertionError):
             doc = ensemble_to_json(ens)
         assert isinstance(doc["members"], Rows)
 
